@@ -32,7 +32,6 @@ from .cyclotomy import (
     quadratic_char_sum,
 )
 from .fields import FieldElement, FieldTower, build_tower
-from .kernels import BACKEND
 from .numtheory import (
     DiophantineRep,
     class_number,
@@ -62,7 +61,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Codeword",
     "CodeSpec",
     "CyclotomicTable",

@@ -119,9 +119,7 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
 def cmd_dist(args) -> int:
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
-    dist = weights.weight_distribution(
-        spec, args.method, budget=args.budget, threads=args.threads
-    )
+    dist = weights.weight_distribution(spec, args.method, budget=args.budget)
     rep = _base_report(spec)
     rep.method = dist.method
     rep.weights = dist.entries
@@ -137,9 +135,7 @@ def cmd_verify(args) -> int:
     rep = _base_report(spec)
     rep.divisor = weights.divisibility(spec)
     rep.bounds = weights.bounds(spec)
-    reference = oracle.brute_weight_distribution(
-        spec, budget=args.budget, threads=args.threads
-    )
+    reference = oracle.brute_weight_distribution(spec, budget=args.budget)
     tower = fields.build_tower(spec.p, spec.s, spec.m)
     pset = cyclotomy.gaussian_periods_exact(tower, spec.N1, budget=args.budget)
     check = weights.check_period_properties(spec, pset)
@@ -150,9 +146,7 @@ def cmd_verify(args) -> int:
         f" bounded={check.bounded}"
     )
     try:
-        closed = weights.weight_distribution(
-            spec, args.method, budget=args.budget, threads=args.threads
-        )
+        closed = weights.weight_distribution(spec, args.method, budget=args.budget)
     except errors.Unsupported as exc:
         rep.weights = reference.entries
         _finish(rep, t0, args.format, [
@@ -346,7 +340,6 @@ def _add_run_flags(sp, default_method: str) -> None:
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
                     help="largest field size the enumeration paths accept")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def _add_param_flags(sp) -> None:

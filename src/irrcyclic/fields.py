@@ -3,9 +3,11 @@
 Elements are polynomial residues modulo a fixed irreducible polynomial over
 the prime field.  Each tower fixes a distinguished primitive element alpha
 of the top field; discrete logs, traces and whole-field enumeration are all
-expressed relative to alpha.  Two towers with the same characteristic and
-top degree share the heavy per-field data (modulus, alpha, orbit, log table)
-through a small cache, so sweeping over subfield structures is cheap.
+expressed relative to alpha.  Every whole-field array derives from one
+sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
+characteristic and top degree share the heavy per-field data (modulus,
+alpha, trace sequence, log table) through a small cache, so sweeping over
+subfield structures is cheap.
 
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
@@ -14,20 +16,18 @@ primitive element always means smallest under that encoding.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from typing import Iterator
 
 import numpy as np
 
-from . import kernels, numtheory
+from . import numtheory
 from .errors import NotPrime, SizeBudgetExceeded, ZeroHasNoLog
 
 DEFAULT_LOG_TABLE_BUDGET = 1 << 24
 DEFAULT_ENUM_BUDGET = 1 << 22
 DEFAULT_TOWER_BUDGET = 1 << 26
-
-_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,11 @@ def _is_irreducible(modulus: tuple, p: int) -> bool:
     return cur == x
 
 
+def _unit_vectors(d: int) -> Iterator[tuple]:
+    for j in range(d):
+        yield tuple(1 if i == j else 0 for i in range(d))
+
+
 def _digits(n: int, p: int, d: int) -> tuple:
     out = []
     for _ in range(d):
@@ -135,8 +140,32 @@ def _find_modulus(p: int, d: int) -> tuple:
 # shared per-(p, degree) data
 
 
+def _solve_mod(rows: list, rhs: list, p: int) -> list:
+    """The x with rows @ x = rhs over GF(p); rows must be invertible."""
+    n = len(rhs)
+    aug = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise AssertionError("trace sequence must have linear complexity d")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [v * inv % p for v in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[col])]
+    return [row[n] for row in aug]
+
+
 class _Core:
-    """Everything about GF(p^d) that does not depend on the subfield split."""
+    """Everything about GF(p^d) that does not depend on the subfield split.
+
+    The one whole-field array is the trace m-sequence t[k] = Tr(alpha^k)
+    down to GF(p).  The d-window (t[k], ..., t[k+d-1]) holds the coordinates
+    of alpha^k in the basis trace-dual to 1, alpha, ..., alpha^(d-1), so the
+    log and successor-log tables are read off windows of t.
+    """
 
     def __init__(self, p: int, d: int, modulus: tuple | None = None):
         self.p = p
@@ -148,11 +177,11 @@ class _Core:
         if modulus and not _is_irreducible(self.modulus, p):
             raise ValueError("modulus is reducible")
         self.alpha_coeffs = self._find_primitive()
-        self.mult_matrix = self._mult_matrix(self.alpha_coeffs)
         self.trace_form = self._trace_form()
-        self._orbit: np.ndarray | None = None
-        self._log: np.ndarray | None = None
+        self._seq: np.ndarray | None = None
         self._trace_by_log: np.ndarray | None = None
+        self._window_forms: np.ndarray | None = None
+        self._log: np.ndarray | None = None
         self._succ_log: np.ndarray | None = None
         self.cache: dict = {}
 
@@ -169,20 +198,8 @@ class _Core:
                 return cand
         raise AssertionError("no primitive element found")  # impossible
 
-    def _mult_matrix(self, g: tuple) -> np.ndarray:
-        cols = []
-        basis = (1,) + (0,) * (self.d - 1)
-        cur = basis
-        for _ in range(self.d):
-            cols.append(_pmul(g, cur, self.modulus, self.p))
-            cur = _pmul(cur, (0, 1) + (0,) * (self.d - 2), self.modulus, self.p) if self.d > 1 else cur
-        return np.array(cols, dtype=np.int64).T % self.p
-
     def _frobenius_matrix(self) -> np.ndarray:
-        cols = []
-        for j in range(self.d):
-            basis_j = tuple(1 if i == j else 0 for i in range(self.d))
-            cols.append(_ppow(basis_j, self.p, self.modulus, self.p))
+        cols = [_ppow(e, self.p, self.modulus, self.p) for e in _unit_vectors(self.d)]
         return np.array(cols, dtype=np.int64).T
 
     def _trace_form(self) -> np.ndarray:
@@ -193,84 +210,120 @@ class _Core:
         for _ in range(self.d):
             total = (total + acc) % self.p
             acc = (frob @ acc) % self.p
-        assert not total[1:].any(), "trace must land in the prime field"
+        if total[1:].any():
+            raise AssertionError("trace must land in the prime field")
         return total[0].copy()
 
-    # -- enumeration products, all lazy
+    def _trace(self, coeffs: tuple) -> int:
+        return int(self.trace_form @ np.array(coeffs, dtype=np.int64)) % self.p
 
-    def orbit(self) -> np.ndarray:
-        """Encodings of alpha^0 .. alpha^(r-2)."""
-        if self._orbit is None:
-            self._orbit = kernels.alpha_orbit(self.p, self.d, self.mult_matrix, self.r - 1)
-        return self._orbit
+    def _sequence(self) -> np.ndarray:
+        """t[k] = Tr(alpha^k) for 0 <= k < r - 1 + d, by jump doubling.
 
-    def log_table(self, budget: int = DEFAULT_LOG_TABLE_BUDGET) -> np.ndarray:
-        """table[encoding] = discrete log, -1 for zero."""
-        if self._log is None:
-            if self.r > budget:
-                raise SizeBudgetExceeded(f"log table for r={self.r} exceeds budget {budget}")
-            table = np.full(self.r, -1, dtype=np.int64)
-            table[self.orbit()] = np.arange(self.r - 1, dtype=np.int64)
-            self._log = table
-        return self._log
+        The first 2d terms fix the order-d recurrence alpha^d = sum c_i alpha^i.
+        With alpha^n = sum a_i alpha^i (reduced by that recurrence), every
+        known length n >= 2d extends by t[n + j] = sum a_i t[i + j] for
+        j <= n - d, so the known length doubles per step.
+        """
+        if self._seq is None:
+            p, d = self.p, self.d
+            total = self.r - 1 + d
+            head = []
+            x = (1,) + (0,) * (d - 1)
+            for _ in range(2 * d):
+                head.append(self._trace(x))
+                x = _pmul(x, self.alpha_coeffs, self.modulus, p)
+            c = _solve_mod([head[i : i + d] for i in range(d)], head[d:], p)
+            minpoly = tuple(-ci % p for ci in c) + (1,)
+            # the residue of X modulo the minimal polynomial of alpha
+            gen = (0, 1) + (0,) * (d - 2) if d > 1 else (c[0],)
+            t = np.empty(total, dtype=np.int64)
+            t[: 2 * d] = head
+            n = 2 * d
+            while n < total:
+                take = min(n - d + 1, total - n)
+                new = t[n : n + take]
+                new[:] = 0
+                for i, a in enumerate(_ppow(gen, n, minpoly, p)):
+                    if a:
+                        new += t[i : i + take] if a == 1 else a * t[i : i + take]
+                new %= p
+                n += take
+            if not (t[self.r - 1 :] == t[:d]).all():
+                raise AssertionError("trace sequence must close with period r - 1")
+            self._seq = t
+        return self._seq
 
-    def coeff_chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yields (offset, coefficient matrix) blocks decoded from the orbit."""
-        orbit = self.orbit()
-        for off in range(0, len(orbit), _CHUNK):
-            enc = orbit[off : off + _CHUNK]
-            mat = np.empty((len(enc), self.d), dtype=np.int64)
-            rest = enc.copy()
-            for i in range(self.d):
-                mat[:, i] = rest % self.p
-                rest //= self.p
-            yield off, mat
+    def _window_codes(self, shift: np.ndarray) -> np.ndarray:
+        """codes[k] = sum_i ((t[k+i] + shift[i]) mod p) * p^i for k < r - 1.
 
-    def apply_forms(self, forms: np.ndarray) -> np.ndarray:
-        """(n_forms, r-1) matrix of (forms @ coeffs(alpha^k)) mod p."""
-        forms = np.atleast_2d(np.asarray(forms, dtype=np.int64))
-        out = np.empty((forms.shape[0], self.r - 1), dtype=np.int64)
-        for off, mat in self.coeff_chunks():
-            out[:, off : off + mat.shape[0]] = (mat @ forms.T).T % self.p
-        return out
+        By linearity of the trace this is the window encoding of
+        alpha^k + y, where shift is the window of y.
+        """
+        t, n, p = self._sequence(), self.r - 1, self.p
+        codes = np.zeros(n, dtype=np.int64)
+        digit = np.empty(n, dtype=np.int64)
+        for i in range(self.d - 1, -1, -1):
+            codes *= p
+            if shift[i]:
+                np.add(t[i : i + n], shift[i], out=digit)
+                digit[digit >= p] -= p
+                codes += digit
+            else:
+                codes += t[i : i + n]
+        return codes
+
+    def window_code(self, coeffs: tuple) -> int:
+        """Window encoding sum_i Tr(alpha^i x) p^i of x given by its coefficients."""
+        if self._window_forms is None:
+            # row i is the linear form x -> Tr(alpha^i x) on coefficient columns
+            mult = np.array(
+                [_pmul(self.alpha_coeffs, e, self.modulus, self.p) for e in _unit_vectors(self.d)],
+                dtype=np.int64,
+            ).T
+            rows = [self.trace_form]
+            for _ in range(self.d - 1):
+                rows.append(rows[-1] @ mult % self.p)
+            self._window_forms = np.array(rows, dtype=np.int64)
+        window = (self._window_forms @ np.array(coeffs, dtype=np.int64)) % self.p
+        return int(window @ self.p ** np.arange(self.d, dtype=np.int64))
+
+    # -- whole-field arrays, all lazy
 
     def trace_by_log(self) -> np.ndarray:
         """Absolute trace Tr(alpha^k) down to GF(p), indexed by k."""
         if self._trace_by_log is None:
-            self._trace_by_log = self.apply_forms(self.trace_form)[0]
+            self._trace_by_log = self._sequence()[: self.r - 1]
         return self._trace_by_log
+
+    def log_table(self, budget: int = DEFAULT_LOG_TABLE_BUDGET) -> np.ndarray:
+        """table[window_code(x)] = discrete log of x, -1 for zero."""
+        if self._log is None:
+            if self.r > budget:
+                raise SizeBudgetExceeded(f"log table for r={self.r} exceeds budget {budget}")
+            table = np.full(self.r, -1, dtype=np.int64)
+            table[self._window_codes(np.zeros(self.d, dtype=np.int64))] = np.arange(
+                self.r - 1, dtype=np.int64
+            )
+            # r - 1 writes cover the r - 1 slots of log[1:] only if each
+            # slot is written exactly once and zero is never hit
+            if table[0] != -1 or (table[1:] < 0).any():
+                raise AssertionError("trace windows must biject onto the nonzero codes")
+            self._log = table
+        return self._log
 
     def succ_log(self) -> np.ndarray:
         """dlog(alpha^k + 1) indexed by k, with -1 where alpha^k = -1."""
         if self._succ_log is None:
-            orbit = self.orbit()
-            c0 = orbit % self.p
-            bumped = np.where(c0 == self.p - 1, orbit - (self.p - 1), orbit + 1)
-            self._succ_log = self.log_table()[bumped]
+            # the window of 1 is (Tr(alpha^0), ..., Tr(alpha^(d-1)))
+            self._succ_log = self.log_table()[self._window_codes(self._sequence()[: self.d])]
         return self._succ_log
 
 
-_CORE_CACHE: OrderedDict[tuple, _Core] = OrderedDict()
-_CORE_CACHE_SIZE = 8
-
-
-def _core_for(p: int, d: int) -> _Core:
-    key = (p, d)
-    if key in _CORE_CACHE:
-        _CORE_CACHE.move_to_end(key)
-        return _CORE_CACHE[key]
-    # a cached tower may still hold this core even after eviction here;
-    # reuse it so towers over the same field always share one core
-    for tower in _TOWER_CACHE.values():
-        if tower.core.p == p and tower.core.d == d:
-            core = tower.core
-            break
-    else:
-        core = _Core(p, d)
-    _CORE_CACHE[key] = core
-    while len(_CORE_CACHE) > _CORE_CACHE_SIZE:
-        _CORE_CACHE.popitem(last=False)
-    return core
+@functools.lru_cache(maxsize=8)
+def _field(p: int, d: int) -> tuple[_Core, dict]:
+    """The shared core of GF(p^d) and its towers by subfield degree s."""
+    return _Core(p, d), {}
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +424,6 @@ class FieldTower:
         # powers of the subfield generator give a GF(p)-basis of GF(q)
         g = _ppow(core.alpha_coeffs, self.subfield_embedding, core.modulus, p)
         self.subfield_generator = FieldElement(self, g)
-        self._zero_forms: np.ndarray | None = None
         self._traceq_zero: np.ndarray | None = None
 
     # -- constructors
@@ -438,7 +490,7 @@ class FieldTower:
         if x.is_zero:
             raise ZeroHasNoLog("zero is not a power of alpha")
         if self.r <= budget:
-            return int(self.core.log_table(budget)[x.encoding])
+            return int(self.core.log_table(budget)[self.core.window_code(x.coeffs)])
         return self._bsgs(x)
 
     def _bsgs(self, x: FieldElement) -> int:
@@ -460,35 +512,23 @@ class FieldTower:
 
     # -- vectorized whole-field views
 
-    def zero_forms(self) -> np.ndarray:
-        """s x degree matrix W: Tr(x) to GF(q) vanishes iff W @ coeffs = 0 mod p."""
-        if self._zero_forms is None:
-            core = self.core
-            mg = core._mult_matrix(self.subfield_generator.coeffs)
-            rows = []
-            row = core.trace_form.copy()
-            for _ in range(self.s):
-                rows.append(row)
-                row = (row @ mg) % self.p
-            self._zero_forms = np.array(rows, dtype=np.int64)
-        return self._zero_forms
-
     def traceq_zero_by_log(self) -> np.ndarray:
-        """Boolean array z with z[k] true iff Tr(alpha^k) to GF(q) is zero."""
+        """Boolean array z with z[k] true iff Tr(alpha^k) to GF(q) is zero.
+
+        With g = alpha^((r-1)/(q-1)), the powers 1, g, ..., g^(s-1) are a basis
+        of GF(q) over GF(p), so Tr(x) to GF(q) vanishes iff Tr(g^i x) to GF(p)
+        vanishes for every i < s.
+        """
         if self._traceq_zero is None:
-            if self.s == 1:
-                self._traceq_zero = self.core.trace_by_log() == 0
-            else:
-                vals = self.core.apply_forms(self.zero_forms())
-                self._traceq_zero = ~vals.any(axis=0)
+            zero = self.core.trace_by_log() == 0
+            mask = zero
+            for i in range(1, self.s):
+                mask = mask & np.roll(zero, -i * self.subfield_embedding)
+            self._traceq_zero = mask
         return self._traceq_zero
 
     def __repr__(self) -> str:
         return f"FieldTower(GF({self.p}^{self.s})^{self.m}, r={self.r})"
-
-
-_TOWER_CACHE: OrderedDict[tuple, FieldTower] = OrderedDict()
-_TOWER_CACHE_SIZE = 16
 
 
 def build_tower(
@@ -513,12 +553,7 @@ def build_tower(
         raise SizeBudgetExceeded(f"r = {p}^{d} exceeds the tower budget {budget}")
     if modulus is not None:
         return FieldTower(p, s, m, _Core(p, d, modulus))
-    key = (p, s, m)
-    if key in _TOWER_CACHE:
-        _TOWER_CACHE.move_to_end(key)
-        return _TOWER_CACHE[key]
-    tower = FieldTower(p, s, m, _core_for(p, d))
-    _TOWER_CACHE[key] = tower
-    while len(_TOWER_CACHE) > _TOWER_CACHE_SIZE:
-        _TOWER_CACHE.popitem(last=False)
-    return tower
+    core, towers = _field(p, d)
+    if s not in towers:
+        towers[s] = FieldTower(p, s, m, core)
+    return towers[s]

@@ -11,7 +11,6 @@ element and exists to cross-check the vectorized path.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,6 @@ def brute_weight_distribution(
     tower: FieldTower | None = None,
     *,
     literal: bool = False,
-    threads: int = 1,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> WeightDistribution:
     """Exact distribution by enumerating the field, within the size budget."""
@@ -70,33 +68,18 @@ def brute_weight_distribution(
     if tower is None:
         tower = build_tower(spec.p, spec.s, spec.m)
     if literal:
-        return _literal_distribution(spec, tower, threads)
+        return _literal_distribution(spec, tower)
     weights = _class_weights(spec, tower)
     pairs = [(int(w), spec.n) for w in weights]
     return distribution_from_beta_weights(spec, pairs, "brute")
 
 
-def _literal_distribution(spec: CodeSpec, tower: FieldTower, threads: int) -> WeightDistribution:
-    def weigh_range(bounds: tuple[int, int]) -> Counter:
-        lo, hi = bounds
-        out: Counter = Counter()
-        beta = tower.alpha**lo
-        for _ in range(lo, hi):
-            out[codeword(spec, tower, beta).weight] += 1
-            beta = beta * tower.alpha
-        return out
-
-    total = spec.r - 1
-    if threads <= 1:
-        merged = weigh_range((0, total))
-    else:
-        step = -(-total // threads)
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counters = list(pool.map(weigh_range, ranges))
-        merged = Counter()
-        for c in counters:
-            merged.update(c)
+def _literal_distribution(spec: CodeSpec, tower: FieldTower) -> WeightDistribution:
+    merged: Counter = Counter()
+    beta = tower.one
+    for _ in range(spec.r - 1):
+        merged[codeword(spec, tower, beta).weight] += 1
+        beta = beta * tower.alpha
     pairs = [(w, count) for w, count in sorted(merged.items())]
     return distribution_from_beta_weights(spec, pairs, "brute")
 

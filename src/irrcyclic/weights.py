@@ -350,15 +350,12 @@ def weight_distribution(
     method: str = "auto",
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
-    threads: int = 1,
 ) -> WeightDistribution:
     """Weight distribution via closed forms, exact enumeration, or both.
 
     method "auto" tries closed forms then falls back to enumeration within
     budget; "closed" insists on a closed form; "brute" skips closed forms.
-    threads is accepted for interface symmetry with the oracle.
     """
-    del threads  # the period walk is a single vectorized pass
     if method not in ("auto", "closed", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "closed"):

@@ -104,7 +104,7 @@ def test_criterion_3_index_two_oracle_equivalence():
     spec = weights.code_params(2, 1, 21, 49)
     assert spec.r == 2**21
     closed = weights.weight_distribution(spec, "closed")
-    brute = oracle.brute_weight_distribution(spec, threads=4)
+    brute = oracle.brute_weight_distribution(spec)
     assert closed.method == "thm22"
     assert closed.entries == brute.entries
     elapsed = time.perf_counter() - t0

@@ -1,12 +1,62 @@
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from irrcyclic.errors import SizeBudgetExceeded, ZeroHasNoLog
-from irrcyclic.fields import build_tower
-from irrcyclic import fields
+from irrcyclic.fields import FieldTower, _Core, build_tower
+from irrcyclic import fields, numtheory
 
 
 TOWERS = [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 3), (3, 1, 4), (2, 1, 6)]
+
+
+def _prime_powers(limit):
+    out = []
+    for p in range(2, limit + 1):
+        if numtheory.is_prime(p):
+            d = 1
+            while p**d <= limit:
+                out.append((p, d))
+                d += 1
+    return out
+
+
+# every field up to 2^10, the edge fields r = 2 and r = 3 among them
+SMALL_FIELDS = _prime_powers(1 << 10)
+LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1)]
+
+
+def _check_field(tower, ks):
+    """Compare the whole-field arrays of tower's field with element-wise
+    arithmetic at the logs ks, on every subfield split, and the log tables
+    with baby-step giant-step on a sample of ks."""
+    core, n = tower.core, tower.r - 1
+    tr, log, succ = core.trace_by_log(), core.log_table(), core.succ_log()
+    assert tr.dtype == log.dtype == np.int64
+    assert tr.shape == succ.shape == (n,)
+    assert log.shape == (tower.r,) and log[0] == -1
+    splits = [FieldTower(tower.p, s, tower.degree // s, core)
+              for s in numtheory.divisors(tower.degree)]
+    masks = [t.traceq_zero_by_log() for t in splits]
+    ks = list(ks)
+    sampled = set(ks[:: max(1, len(ks) // 16)])
+    for k in ks:
+        x = tower.alpha ** k
+        assert tr[k] == tower.trace(x, "r->p").coeffs[0]
+        for t, z in zip(splits, masks):
+            assert z[k] == t.trace(x, "r->q").is_zero
+        assert tower.discrete_log(x) == k
+        y = x + tower.one
+        if succ[k] < 0:
+            assert y.is_zero
+        else:
+            assert tower.alpha ** int(succ[k]) == y
+        if k in sampled:
+            assert tower._bsgs(x) == k
+            assert y.is_zero or tower._bsgs(y) == succ[k]
 
 
 def test_build_tower_embedding_example():
@@ -122,17 +172,6 @@ def test_elements_cross_tower_guard():
         _ = a.alpha + b.alpha
 
 
-def test_zero_forms_match_trace():
-    for p, s, m in [(2, 2, 3), (3, 2, 2), (2, 3, 2)]:
-        t = build_tower(p, s, m)
-        forms = t.zero_forms()
-        assert forms.shape == (s, s * m)
-        for x in t.elements():
-            vec = np.array(x.coeffs, dtype=np.int64)
-            by_forms = not ((forms @ vec) % p).any()
-            assert by_forms == t.trace(x, "r->q").is_zero
-
-
 def test_traceq_zero_by_log_matches_trace():
     for p, s, m in [(2, 2, 3), (3, 2, 2), (5, 1, 3)]:
         t = build_tower(p, s, m)
@@ -151,6 +190,54 @@ def test_modulus_override_independence():
     for t in (default, other):
         zero_count = int(t.traceq_zero_by_log().sum())
         assert zero_count == t.r // t.p - 1
+
+
+@pytest.mark.parametrize("p,d", SMALL_FIELDS, ids=[f"{p}-{d}" for p, d in SMALL_FIELDS])
+def test_field_arrays_match_elementwise(p, d):
+    _check_field(build_tower(p, 1, d), range(p**d - 1))
+
+
+@pytest.mark.parametrize("p,d", LARGE_FIELDS, ids=[f"{p}-{d}" for p, d in LARGE_FIELDS])
+def test_field_arrays_match_sampled(p, d):
+    r = p**d
+    ks = [0, 1, r - 2] + random.Random(r).sample(range(2, r - 2), 48)
+    _check_field(build_tower(p, 1, d), ks)
+
+
+@pytest.mark.parametrize("p,s,m,modulus", [
+    (2, 2, 3, (1, 0, 0, 1, 0, 0, 1)),  # x^6 + x^3 + 1, where x is not primitive
+    (3, 2, 2, (2, 0, 1, 0, 1)),  # x^4 + x^2 + 2
+])
+def test_field_arrays_with_modulus_override(p, s, m, modulus):
+    tower = build_tower(p, s, m, modulus=modulus)
+    assert tower.core.modulus == modulus
+    _check_field(tower, range(tower.r - 1))
+
+
+def test_non_primitive_alpha_is_rejected():
+    # x^3 has order 5 in GF(16) = GF(2)[x]/(x^4 + x + 1): its trace sequence
+    # still closes with period 15, but its windows repeat
+    core = _Core(2, 4)
+    core.alpha_coeffs = (0, 0, 0, 1)
+    with pytest.raises(AssertionError, match="biject"):
+        core.log_table()
+    # x^5 lies in GF(4), so its trace sequence has linear complexity 2 < 4
+    core = _Core(2, 4)
+    core.alpha_coeffs = (0, 1, 1, 0)
+    with pytest.raises(AssertionError, match="linear complexity"):
+        core.trace_by_log()
+
+
+def test_field_checks_hold_under_optimize():
+    code = (
+        "from irrcyclic.fields import _Core\n"
+        "core = _Core(2, 4)\n"
+        "core.alpha_coeffs = (0, 0, 0, 1)\n"
+        "core.log_table()\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "AssertionError: trace windows must biject" in run.stderr
 
 
 def test_modulus_override_validated():

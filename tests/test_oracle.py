@@ -54,13 +54,6 @@ def test_literal_matches_class_mode():
         assert fast.entries == slow.entries, spec
 
 
-def test_literal_parallel_matches_sequential():
-    spec = weights.code_params(3, 1, 4, 4)
-    one = oracle.brute_weight_distribution(spec, literal=True, threads=1)
-    par = oracle.brute_weight_distribution(spec, literal=True, threads=3)
-    assert one.entries == par.entries
-
-
 def test_budget_guard():
     spec = weights.code_params(3, 1, 4, 2)
     with pytest.raises(SizeBudgetExceeded):
