@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from . import closed_forms, cyclotomy, errors, fields, numtheory, oracle, weights
+from . import closed_forms, cyclotomy, errors, fields, oracle, weights
 from .fields import DEFAULT_ENUM_BUDGET
 
 _METHODS = ("auto", "closed", "brute")
@@ -190,22 +190,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _index2_attempt_order(p: int, d: int, N: int):
-    """Index-two parameters for periods of order N over GF(p**d), or None."""
-    fac = numtheory.factorize(N)
-    if len(fac) != 1:
-        return None
-    (l, lam), = fac.items()
-    if l % 4 != 3 or l == 3 or l == p:
-        return None
-    if numtheory.mult_order(p, l) != (l - 1) // 2:
-        return None
-    f = (l - 1) * l ** (lam - 1) // 2
-    if d % f:
-        return None
-    return closed_forms.index2_params(p, l, lam, d // f)
-
-
 def cmd_periods(args) -> int:
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
@@ -213,67 +197,40 @@ def cmd_periods(args) -> int:
     rep = _base_report(spec)
 
     poly = None
-    if N == 3:
-        poly = closed_forms.period_poly_order3(args.p, args.s, args.m)
-    elif N == 4:
-        poly = closed_forms.period_poly_order4(args.p, args.s, args.m)
+    if args.format == "text" and N in (3, 4):
+        build = closed_forms.period_poly_order3 if N == 3 else closed_forms.period_poly_order4
+        poly = build(args.p, args.s, args.m)
 
-    values = None      # periods indexed by class
-    multiset = None    # periods without class assignment
-    if args.method in ("auto", "closed"):
-        if N == 1:
-            values, rep.method = [-1], "thm16"
-        elif N == 2:
-            try:
-                values = list(closed_forms.periods_order2(args.p, args.s, args.m))
-                rep.method = "thm18"
-            except errors.Error:
-                pass
-        else:
-            j = numtheory.semiprimitive_j(p, N)
-            if j is not None and d % (2 * j) == 0:
-                sp = closed_forms.semiprimitive_periods(p, j, d // (2 * j), N)
-                values, rep.method = sp.as_list(), "thm24"
-            elif poly is not None and poly.roots is not None:
-                multiset = [v for v, mult in poly.roots for _ in range(mult)]
-                rep.method = "thm19" if N == 3 else "thm21"
-            else:
-                params = _index2_attempt_order(p, d, N)
-                if params is not None:
-                    values = closed_forms.index2_periods(params)
-                    rep.method = "thm22"
-    if values is None and multiset is None:
-        if args.method == "closed":
-            raise errors.Unsupported(
-                f"no closed form for periods of order {N} over GF({spec.r})"
-            )
+    found = None if args.method == "brute" else closed_forms.closed_periods(p, d, N)
+    if found is not None:
+        rep.method, periods = found
+        values = [eta for eta, mult in periods for _ in range(mult)]
+    elif args.method == "closed":
+        raise errors.Unsupported(f"no closed form for periods of order {N} over GF({spec.r})")
+    else:
         tower = fields.build_tower(args.p, args.s, args.m)
         pset = cyclotomy.gaussian_periods_exact(tower, N, budget=args.budget)
         rep.method = "brute"
-        if pset.integer_values is not None:
-            values = list(pset.integer_values)
-        else:
-            values = list(pset.values)
+        values = list(pset.values if pset.integer_values is None else pset.integer_values)
+    # the roots of a period polynomial carry no class labels
+    by_class = rep.method not in closed_forms.ROOTS_ONLY
 
+    rep.periods = tuple(str(v) for v in values)
+    integral = all(isinstance(v, int) for v in values)
     lines = []
-    if values is not None:
-        rep.periods = tuple(str(v) for v in values)
-        if all(isinstance(v, int) for v in values):
-            lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(values)))
-        else:
-            lines.extend(f"eta_{i} = {v}" for i, v in enumerate(values))
-    else:
-        rep.periods = tuple(str(v) for v in multiset)
+    if by_class and integral:
+        lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(values)))
+    elif by_class:
+        lines.extend(f"eta_{i} = {v}" for i, v in enumerate(values))
     if poly is not None:
         lines.append(f"polynomial: {_poly_text(poly.coeffs)}")
-        if values is None:
+        if not by_class:
             lines.append(
-                "roots: {" + ", ".join(str(v) for v in multiset)
+                "roots: {" + ", ".join(str(v) for v in values)
                 + "} (class assignment not determined)"
             )
-    ints = values if values is not None else multiset
-    if spec.N1 == N and all(isinstance(v, int) for v in ints):
-        check = weights.check_period_properties(spec, ints)
+    if spec.N1 == N and integral:
+        check = weights.check_period_properties(spec, values)
         rep.thm14 = _check_dict(check)
         lines.append(
             f"integral={check.integral} congruent={check.congruent}"

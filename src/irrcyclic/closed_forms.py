@@ -15,6 +15,7 @@ from . import numtheory
 from .errors import (
     EvenPrime,
     IrrationalPeriod,
+    NotADivisor,
     NotDivisible,
     NotIndexTwo,
     NotPrime,
@@ -471,6 +472,66 @@ def index2_periods(params: IndexTwoParams) -> list[int]:
     out = []
     for i in range(params.N1):
         num = params.class_sum(i) - 1
-        assert num % params.N1 == 0, "index-two period must be integral"
+        if num % params.N1:
+            raise AssertionError("index-two period must be integral")
         out.append(num // params.N1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rule table, numbered as in Ding & Yang, "Hamming weights in irreducible
+# cyclic codes" (arXiv:1108.3887); a rule returns None when it does not apply
+
+
+def _thm24(p: int, d: int, N: int):
+    j = numtheory.semiprimitive_j(p, N) if N >= 3 else None
+    if j is None:
+        return None
+    # p^j = -1 (mod N) makes ord_N(p) = 2j, and ord_N(p) divides d
+    if d % (2 * j):
+        raise AssertionError("the class order 2j must divide the extension degree")
+    return [(eta, 1) for eta in semiprimitive_periods(p, j, d // (2 * j), N).as_list()]
+
+
+def _thm22(p: int, d: int, N: int):
+    power = numtheory.prime_power(N)
+    if power is None or power[0] % 4 != 3 or power[0] == 3:
+        return None
+    l, lam = power
+    f = (l - 1) * l ** (lam - 1) // 2
+    if numtheory.mult_order(p, l, divisor_of=d) != (l - 1) // 2 or d % f:
+        return None
+    return [(eta, 1) for eta in index2_periods(index2_params(p, l, lam, d // f))]
+
+
+_RULES = (
+    ("thm16", lambda p, d, N: [(-1, 1)] if N == 1 else None),
+    ("thm18", lambda p, d, N: [(eta, 1) for eta in periods_order2(p, 1, d)]
+        if N == 2 and d % 2 == 0 else None),
+    ("thm24", _thm24),
+    ("thm19", lambda p, d, N: list(period_poly_order3(p, 1, d).roots)
+        if N == 3 and p % 3 == 1 and d % 3 == 0 else None),
+    ("thm21", lambda p, d, N: list(period_poly_order4(p, 1, d).roots)
+        if N == 4 and p % 4 == 1 and d % 4 == 0 else None),
+    ("thm22", _thm22),
+)
+
+# tags whose periods are the roots of the period polynomial: the multiset is
+# exact, but which root belongs to which class is not known
+ROOTS_ONLY = ("thm19", "thm21")
+
+
+def closed_periods(p: int, d: int, N: int) -> tuple[str, list[tuple[int, int]]] | None:
+    """(tag, [(eta, multiplicity), ...]) from the first rule that gives the
+    order-N Gaussian periods over GF(p^d), or None when none applies.
+
+    Periods come in class order, one per class, except for the tags in
+    ROOTS_ONLY.  Weights ask at order N1, `irrcyclic periods` at order N.
+    """
+    if N < 1 or (p**d - 1) % N:
+        raise NotADivisor(f"N = {N} does not divide p^d - 1 = {p**d - 1}")
+    for tag, rule in _RULES:
+        periods = rule(p, d, N)
+        if periods is not None:
+            return tag, periods
+    return None

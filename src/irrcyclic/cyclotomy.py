@@ -253,9 +253,9 @@ def gaussian_periods_exact(
     hit = core.cache.get(key)
     if hit is not None:
         return hit
-    tr = core.trace_by_log()
-    idx = np.arange(r - 1, dtype=np.int64) % N
-    hist = np.bincount(idx * p + tr, minlength=N * p).reshape(N, p)
+    # row k // N, column k % N: one r-length key, tr[k] + p * (k mod N)
+    codes = core.trace_by_log().reshape(-1, N) + p * np.arange(N, dtype=np.int64)
+    hist = np.bincount(codes.ravel(), minlength=N * p).reshape(N, p)
     _check_sum_rule(p, hist.sum(axis=0))
     values = tuple(RootOfUnitySum(p, row) for row in hist)
     theta = _theta_flags(p, r, N)

@@ -88,6 +88,32 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def iroot(n: int, e: int) -> int:
+    """Largest x with x**e <= n, for n >= 1 and e >= 1."""
+    # Newton's iteration descends monotonically from any start above the root
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(t, e) with n = t**e for a prime t, or None; n is never factored.
+
+    A prime power has exactly one exponent e whose integer e-th root is
+    prime, so trying every e <= log2(n) settles it.
+    """
+    for e in range(1, n.bit_length()):
+        t = iroot(n, e)
+        if t < 2:
+            break
+        if t**e == n and is_prime(t):
+            return t, e
+    return None
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]

@@ -2,8 +2,9 @@
 
 The code attached to (p, s, m, N) lives over GF(q), q = p^s, inside GF(r),
 r = q^m, and has length n = (r - 1) / N.  Its nonzero weights come from the
-Gaussian periods of order N1 = gcd((r-1)/(q-1), N): the dispatcher tries the
-closed forms in a fixed order and falls back to exact period enumeration.
+Gaussian periods of order N1 = gcd((r-1)/(q-1), N).  `dist` and `periods`
+share one rule table, `closed_forms.closed_periods`, asked here at order N1;
+the prime-power form comes next and exact period enumeration last.
 
 Class weights are computed per beta-class and then pushed through a common
 finalizer that merges equal weights, strips the zero-weight kernel classes of
@@ -31,8 +32,6 @@ from .errors import (
     Unsupported,
 )
 from .fields import DEFAULT_ENUM_BUDGET, build_tower
-
-METHOD_TAGS = ("thm16", "thm18", "thm19", "thm21", "thm22", "thm23", "thm24", "brute")
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,8 @@ def code_params(p: int, s: int, m: int, N: int) -> CodeSpec:
     N1 = math.gcd((r - 1) // (q - 1), N)
     # the true dimension divides m, so only divisors need checking
     m0 = numtheory.mult_order(q, n, divisor_of=m)
-    assert N1 * (N1 - 1) >= r or m0 == m, "small N1 forces a nondegenerate code"
+    if N1 * (N1 - 1) < r and m0 != m:
+        raise AssertionError("small N1 forces a nondegenerate code")
     return CodeSpec(p, s, m, N, q, r, n, N1, m0, q ** (m - m0))
 
 
@@ -179,17 +179,20 @@ class WeightDistribution:
         total = 0
         div = divisibility(spec)
         for w, count in self.entries:
-            assert w > last and count > 0, "entries must be ascending with positive counts"
-            assert w <= spec.n, "weight exceeds the code length"
-            assert w % div == 0, "weight violates the divisibility theorem"
+            if not (w > last and count > 0):
+                raise AssertionError("entries must be ascending with positive counts")
+            if w > spec.n:
+                raise AssertionError("weight exceeds the code length")
+            if w % div:
+                raise AssertionError("weight violates the divisibility theorem")
             last = w
             total += count
-        assert total == spec.q**spec.m0 - 1, "counts must cover all nonzero codewords"
+        if total != spec.q**spec.m0 - 1:
+            raise AssertionError("counts must cover all nonzero codewords")
         if self.entries:
             lo, hi = bounds(spec)
-            assert lo <= self.entries[0][0] and self.entries[-1][0] <= hi, (
-                "weights violate the bound theorem"
-            )
+            if not (lo <= self.entries[0][0] and self.entries[-1][0] <= hi):
+                raise AssertionError("weights violate the bound theorem")
 
     def counts_by_weight(self) -> dict[int, int]:
         return dict(self.entries)
@@ -218,13 +221,16 @@ def distribution_from_beta_weights(spec: CodeSpec, pairs, method: str) -> Weight
     merged: dict[int, int] = {}
     for w, count in pairs:
         merged[w] = merged.get(w, 0) + count
-    assert sum(merged.values()) == spec.r - 1, "classes must cover all nonzero beta"
+    if sum(merged.values()) != spec.r - 1:
+        raise AssertionError("classes must cover all nonzero beta")
     zero = merged.pop(0, 0)
-    assert zero == spec.kernel_size - 1, "zero-weight classes must match the kernel"
+    if zero != spec.kernel_size - 1:
+        raise AssertionError("zero-weight classes must match the kernel")
     entries = []
     for w in sorted(merged):
         count = merged[w]
-        assert count % spec.kernel_size == 0, "kernel size must divide each weight count"
+        if count % spec.kernel_size:
+            raise AssertionError("kernel size must divide each weight count")
         entries.append((w, count // spec.kernel_size))
     return WeightDistribution(spec, tuple(entries), method)
 
@@ -233,49 +239,33 @@ def distribution_from_beta_weights(spec: CodeSpec, pairs, method: str) -> Weight
 # the closed-form dispatcher
 
 
-def _index2_attempt(spec: CodeSpec):
-    fac = numtheory.factorize(spec.N1)
-    if len(fac) != 1:
-        return None
-    (l, lam), = fac.items()
-    if l % 4 != 3 or l == 3 or l == spec.p:
-        return None
-    if numtheory.mult_order(spec.p, l) != (l - 1) // 2:
-        return None
-    f = (l - 1) * l ** (lam - 1) // 2
-    d = spec.s * spec.m
-    if d % f:
-        return None
-    return closed_forms.index2_params(spec.p, l, lam, d // f)
-
-
 def _prime_power_attempt(spec: CodeSpec):
     """Prime-power shape: n an odd prime power t^jj with q = 1 (mod t), m = t^d."""
-    if spec.n == 1:
+    power = numtheory.prime_power(spec.n)
+    if power is None:
         return None
-    fac = numtheory.factorize(spec.n)
-    if len(fac) != 1:
-        return None
-    (t, jj), = fac.items()
+    t, jj = power
     if t == 2 or spec.q % t != 1:
         return None
-    mfac = numtheory.factorize(spec.m) if spec.m > 1 else {}
-    if spec.m > 1 and (len(mfac) != 1 or t not in mfac):
+    d = numtheory.valuation(spec.m, t)
+    if t**d != spec.m:
         return None
-    d = mfac.get(t, 0)
-    v = numtheory.valuation(spec.q - 1, t)
-    ell = d + v
-    assert numtheory.mult_order(spec.q, t**ell, divisor_of=spec.m) == spec.m
-    assert jj <= ell, "length valuation bound must hold"
+    ell = d + numtheory.valuation(spec.q - 1, t)
+    if numtheory.mult_order(spec.q, t**ell, divisor_of=spec.m) != spec.m:
+        raise AssertionError("q must have order m modulo t^ell")
+    if jj > ell:
+        raise AssertionError("length valuation bound must hold")
     return t, jj, d, ell
 
 
 def _prime_power_entries(spec: CodeSpec, t: int, jj: int, d: int, ell: int):
     if jj <= ell - d:
-        assert spec.m0 == 1
+        if spec.m0 != 1:
+            raise AssertionError("a length dividing q - 1 gives a one-dimensional code")
         return ((spec.n, spec.q - 1),)
     big_t = t ** (jj - ell + d)
-    assert spec.m0 == big_t, "dimension must match the theorem"
+    if spec.m0 != big_t:
+        raise AssertionError("dimension must match the theorem")
     scale = t ** (ell - d)
     return tuple(
         (scale * w, math.comb(big_t, w) * (spec.q - 1) ** w) for w in range(1, big_t + 1)
@@ -283,53 +273,16 @@ def _prime_power_entries(spec: CodeSpec, t: int, jj: int, d: int, ell: int):
 
 
 def _closed_form(spec: CodeSpec) -> WeightDistribution | None:
-    p, r, N1 = spec.p, spec.r, spec.N1
-    count = (r - 1) // N1
-
-    if N1 == 1:
-        assert not spec.degenerate, "N1 = 1 codes are never degenerate"
-        return distribution_from_beta_weights(
-            spec, [(weight_from_period(spec, -1), r - 1)], "thm16"
-        )
-
-    if N1 == 2:
-        eta0, eta1 = closed_forms.periods_order2(p, spec.s, spec.m)
-        pairs = [(weight_from_period(spec, eta0), count), (weight_from_period(spec, eta1), count)]
-        return distribution_from_beta_weights(spec, pairs, "thm18")
-
-    j = numtheory.semiprimitive_j(p, N1)
-    if j is not None:
-        d = spec.s * spec.m
-        assert d % (2 * j) == 0, "the class order divides the extension degree"
-        periods = closed_forms.semiprimitive_periods(p, j, d // (2 * j), N1)
-        pairs = [(weight_from_period(spec, eta), count) for eta in periods.as_list()]
-        return distribution_from_beta_weights(spec, pairs, "thm24")
-
-    if N1 == 3 and p % 3 == 1:
-        poly = closed_forms.period_poly_order3(p, spec.s, spec.m)
-        assert poly.roots is not None, "N1 = 3 with p = 1 (mod 3) forces 3 | sm"
-        pairs = [
-            (weight_from_period(spec, eta), count * mult) for eta, mult in poly.roots
-        ]
-        return distribution_from_beta_weights(spec, pairs, "thm19")
-
-    if N1 == 4 and p % 4 == 1:
-        poly = closed_forms.period_poly_order4(p, spec.s, spec.m)
-        assert poly.roots is not None, "N1 = 4 with p = 1 (mod 4) forces 4 | sm"
-        pairs = [
-            (weight_from_period(spec, eta), count * mult) for eta, mult in poly.roots
-        ]
-        return distribution_from_beta_weights(spec, pairs, "thm21")
-
-    params = _index2_attempt(spec)
-    if params is not None:
-        pairs = [(index2_weight(spec, i, params), count) for i in range(N1)]
-        return distribution_from_beta_weights(spec, pairs, "thm22")
-
+    found = closed_forms.closed_periods(spec.p, spec.s * spec.m, spec.N1)
+    if found is not None:
+        tag, periods = found
+        count = (spec.r - 1) // spec.N1
+        pairs = [(weight_from_period(spec, eta), count * mult) for eta, mult in periods]
+        return distribution_from_beta_weights(spec, pairs, tag)
+    # the one weight-level rule: it gives the weights without the periods
     shape = _prime_power_attempt(spec)
     if shape is not None:
         return WeightDistribution(spec, _prime_power_entries(spec, *shape), "thm23")
-
     return None
 
 
@@ -396,5 +349,6 @@ def prime_power_distribution(q: int, t: int, ell: int, jj: int) -> WeightDistrib
     N = (q**m - 1) // t**jj
     spec = code_params(p, s, m, N)
     shape = _prime_power_attempt(spec)
-    assert shape is not None, "validated parameters must fit the prime-power form"
+    if shape is None:
+        raise AssertionError("validated parameters must fit the prime-power form")
     return WeightDistribution(spec, _prime_power_entries(spec, *shape), "thm23")

@@ -1,6 +1,8 @@
 """Command line interface: output text, JSON schema, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +232,20 @@ def test_method_flag_does_not_leak_between_subcommands(capsys):
     assert rc == 0
     rc, _ = run(capsys, "verify", "--p", "3", "--s", "1", "--m", "4", "--N", "8")
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv,rc,method", [
+    # n = (2^255 - 1)/31 is not a prime power; deciding that must not factor n
+    (["dist", "--p", "2", "--s", "1", "--m", "255", "--N", "31"], 3, None),
+    # thm24 answers order 4 over GF(3^62); the order-4 period polynomial,
+    # which JSON output never prints, is out of reach at this size
+    (["periods", "--p", "3", "--s", "1", "--m", "62", "--N", "4"], 0, "thm24"),
+])
+def test_large_specs_end_promptly(argv, rc, method):
+    run = subprocess.run(
+        [sys.executable, "-m", "irrcyclic.cli", *argv, "--format", "json"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert run.returncode == rc, run.stderr
+    if method is not None:
+        assert json.loads(run.stdout)["method"] == method

@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from irrcyclic import closed_forms as cf
-from irrcyclic import cyclotomy
+from irrcyclic import cyclotomy, numtheory
 from irrcyclic.errors import (
     EvenPrime,
     IrrationalPeriod,
+    NotADivisor,
     NotIndexTwo,
     NotSemiprimitive,
 )
@@ -262,3 +264,47 @@ def test_index2_periods_lam1_bigger():
     t = build_tower(3, 1, 5)
     brute = cyclotomy.gaussian_periods_exact(t, 11).integer_values
     assert sorted(periods) == sorted(brute)
+
+
+# -- the rule table at order N, against the enumeration oracle
+
+# A prime field takes only the N = 1 rule: every other rule needs its class
+# order (2j, 3, 4 or f) to divide d = 1.  The oracle's cost there grows with
+# p, so prime fields stop at 2^10; every extension field up to 2^14 is in.
+TABLE_FIELDS = [(p, d) for p in range(2, 1 << 14) if numtheory.is_prime(p)
+                for d in range(1, 15) if p**d <= (1 << (10 if d == 1 else 14))]
+
+
+def test_closed_periods_match_oracle_at_every_order():
+    seen = set()
+    for p, d in TABLE_FIELDS:
+        for N in numtheory.divisors(p**d - 1):
+            found = cf.closed_periods(p, d, N)
+            if found is None:
+                continue
+            tag, periods = found
+            seen.add(tag)
+            assert sum(mult for _, mult in periods) == N
+            got = cyclotomy.gaussian_periods_exact(build_tower(p, 1, d), N).integer_values
+            want = Counter(eta for eta, mult in periods for _ in range(mult))
+            assert Counter(got) == want, (p, d, N, tag)
+            if tag in ("thm16", "thm18", "thm24"):
+                assert list(got) == [eta for eta, _ in periods], (p, d, N, tag)
+    assert seen == {"thm16", "thm18", "thm19", "thm21", "thm22", "thm24"}
+
+
+@pytest.mark.xfail(strict=True, reason="thm22 labels residue and non-residue classes "
+                   "the other way round from the oracle's primitive element")
+def test_index2_periods_class_order():
+    got = cyclotomy.gaussian_periods_exact(build_tower(2, 1, 6), 7).integer_values
+    tag, periods = cf.closed_periods(2, 6, 7)
+    assert tag == "thm22"
+    assert list(got) == [eta for eta, _ in periods]
+
+
+def test_closed_periods_rule_order_and_guard():
+    assert cf.closed_periods(3, 62, 4)[0] == "thm24"   # order 4, p = 3 (mod 4)
+    assert cf.closed_periods(3, 3, 2) is None         # odd degree: irrational
+    assert cf.closed_periods(13, 1, 3) is None        # 3 does not divide d
+    with pytest.raises(NotADivisor):
+        cf.closed_periods(2, 4, 7)

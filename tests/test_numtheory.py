@@ -48,6 +48,20 @@ def test_factorize_known():
     assert nt.factorize(3**10) == {3: 10}
 
 
+def test_iroot_and_prime_power():
+    for n in range(1, 3000):
+        for e in range(1, 12):
+            x = nt.iroot(n, e)
+            assert x**e <= n < (x + 1) ** e
+    for n in range(1, 3000):
+        fac = nt.factorize(n)
+        assert nt.prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None)
+    assert nt.prime_power(3**160) == (3, 160)
+    assert nt.prime_power(2**127 - 1) == (2**127 - 1, 1)
+    # a 250-bit n that factorize cannot finish on
+    assert nt.prime_power((2**255 - 1) // 31) is None
+
+
 def test_divisors():
     assert nt.divisors(1) == [1]
     assert nt.divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -192,6 +195,18 @@ def test_distribution_invariants_enforced():
     spec = weights.code_params(3, 1, 4, 2)
     with pytest.raises(AssertionError):
         weights.WeightDistribution(spec, ((24, 40), (30, 41)), "thm18")
+
+
+def test_distribution_checks_hold_under_optimize():
+    # 25 is within the bounds [24, 30] but not a multiple of the divisor 2
+    code = (
+        "from irrcyclic import weights\n"
+        "spec = weights.code_params(3, 1, 4, 2)\n"
+        "weights.WeightDistribution(spec, ((25, 40), (30, 40)), 'thm18')\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "AssertionError: weight violates the divisibility theorem" in run.stderr
 
 
 @given(st.sampled_from([(2, 1, 4), (3, 1, 2), (3, 1, 4), (5, 1, 2), (2, 2, 2),
