@@ -5,6 +5,9 @@ plain text or a single JSON record whose key set is identical across
 subcommands; values a command did not compute are null.  Weight and count
 values inside the record are decimal strings so that results beyond 64 bits
 survive any JSON reader.
+
+Only `verify` and the enumeration branch of `periods` import the numpy-backed
+field layer; a closed-form `dist`, `bounds` or `periods` never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import json
 import sys
 import time
 
-from . import closed_forms, cyclotomy, errors, fields, oracle, weights
-from .fields import DEFAULT_ENUM_BUDGET
+from . import closed_forms, errors, weights
+from .errors import DEFAULT_ENUM_BUDGET
 
 _METHODS = ("auto", "closed", "brute")
 
@@ -130,6 +133,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import cyclotomy, fields, oracle
+
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
     rep = _base_report(spec)
@@ -208,6 +213,11 @@ def cmd_periods(args) -> int:
     elif args.method == "closed":
         raise errors.Unsupported(f"no closed form for periods of order {N} over GF({spec.r})")
     else:
+        # refuse an oversize field before the enumeration layer loads numpy
+        errors.require_tower_size(p, d)
+        errors.require_enum_size("period enumeration", spec.r, args.budget)
+        from . import cyclotomy, fields
+
         tower = fields.build_tower(args.p, args.s, args.m)
         pset = cyclotomy.gaussian_periods_exact(tower, N, budget=args.budget)
         rep.method = "brute"

@@ -84,7 +84,8 @@ class QuadraticValue:
             return NotImplemented
         x = self.half_x * other.half_x + self.D * self.half_y * other.half_y
         y = self.half_x * other.half_y + self.half_y * other.half_x
-        assert x % 2 == 0 and y % 2 == 0
+        if x % 2 or y % 2:
+            raise AssertionError("a product of ring integers must have even halves")
         return QuadraticValue(x // 2, y // 2, self.D)
 
     __rmul__ = __mul__
@@ -197,16 +198,19 @@ class PeriodPolynomial:
     roots: tuple[tuple[int, int], ...] | None
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.N + 1 and self.coeffs[-1] == 1
+        if len(self.coeffs) != self.N + 1 or self.coeffs[-1] != 1:
+            raise AssertionError("the period polynomial must be monic of degree N")
         if self.roots is not None:
-            assert sum(mult for _, mult in self.roots) == self.N
+            if sum(mult for _, mult in self.roots) != self.N:
+                raise AssertionError("root multiplicities must sum to N")
             poly = [1]
             for value, mult in self.roots:
                 for _ in range(mult):
                     poly = [0] + poly
                     for i in range(len(poly) - 1):
                         poly[i] -= value * poly[i + 1]
-            assert tuple(poly) == self.coeffs, "roots do not expand to the coefficients"
+            if tuple(poly) != self.coeffs:
+                raise AssertionError("roots do not expand to the coefficients")
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -403,7 +407,8 @@ class IndexTwoParams:
     def gauss_sum(self, t: int) -> QuadraticValue:
         x = 2 * self.A[t] * self.P[t]
         y = 2 * self.B[t] * self.P[t]
-        assert x.denominator == 1 and y.denominator == 1
+        if x.denominator != 1 or y.denominator != 1:
+            raise AssertionError("Gauss sum halves must be integers")
         return QuadraticValue(int(x), int(y), -self.l)
 
     def class_sum(self, i: int) -> int:
@@ -424,7 +429,8 @@ class IndexTwoParams:
             * self.P[depth + 1]
             * self.B[depth + 1]
         )
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise AssertionError("index-two class sum must be an integer")
         return int(total)
 
 
@@ -458,12 +464,14 @@ def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
     base = QuadraticValue(a, b, -l)
     for t in range(1, lam + 1):
         exponent = s * (f - h * l ** (lam - t))
-        assert exponent >= 0 and exponent % 2 == 0, "Gauss sum magnitude must be integral"
+        if exponent < 0 or exponent % 2:
+            raise AssertionError("Gauss sum magnitude must be integral")
         P[t] = (-1) ** (s - 1) * p ** (exponent // 2)
         power = base ** (s * l ** (lam - t))
         A[t] = Fraction(power.half_x, 2)
         B[t] = Fraction(power.half_y, 2)
-        assert A[t] ** 2 + l * B[t] ** 2 == p ** (s * h * l ** (lam - t))
+        if A[t] ** 2 + l * B[t] ** 2 != p ** (s * h * l ** (lam - t)):
+            raise AssertionError("Gauss sum norm must be a power of p")
     return IndexTwoParams(p, l, lam, s, N1, f, h, a, b, tuple(P), tuple(A), tuple(B))
 
 
@@ -484,7 +492,8 @@ def index2_periods(params: IndexTwoParams) -> list[int]:
 
 
 def _thm24(p: int, d: int, N: int):
-    j = numtheory.semiprimitive_j(p, N) if N >= 3 else None
+    # N divides p^d - 1, so ord_N(p) divides d: no need to factor N
+    j = numtheory.semiprimitive_j(p, N, divisor_of=d) if N >= 3 else None
     if j is None:
         return None
     # p^j = -1 (mod N) makes ord_N(p) = 2j, and ord_N(p) divides d

@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotADivisor, SizeBudgetExceeded
-from .fields import DEFAULT_ENUM_BUDGET, FieldElement, FieldTower
+from .errors import DEFAULT_ENUM_BUDGET, EvenCharacteristic, NotADivisor, require_enum_size
+from .fields import FieldElement, FieldTower
 
 PRODUCT_RULE_CAP = 1 << 18
 
@@ -163,7 +163,8 @@ def _theta_flags(p: int, r: int, N: int) -> np.ndarray:
 
 def _check_sum_rule(p: int, tr_hist: np.ndarray) -> None:
     total = RootOfUnitySum(p, tr_hist)
-    assert total == -1, "period sum identity failed"
+    if total != -1:
+        raise AssertionError("period sum identity failed")
 
 
 def _int_autocorrelation(a: np.ndarray) -> np.ndarray | None:
@@ -190,7 +191,8 @@ def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarra
             dtype=object,
         )
     target = r * theta - n
-    assert (corr == target).all(), "period product identity failed"
+    if not (corr == target).all():
+        raise AssertionError("period product identity failed")
     return True
 
 
@@ -211,7 +213,8 @@ def _check_product_rule_table(
     target = r * theta - (r - 1) // N
     for k in range(N):
         row = RootOfUnitySum(p, table[k])
-        assert row == int(target[k]), "period product identity failed"
+        if row != int(target[k]):
+            raise AssertionError("period product identity failed")
     return True
 
 
@@ -246,8 +249,7 @@ def gaussian_periods_exact(
     r, p = tower.r, tower.p
     if N < 1 or (r - 1) % N:
         raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
-    if r > budget:
-        raise SizeBudgetExceeded(f"period enumeration at r = {r} exceeds budget {budget}")
+    require_enum_size("period enumeration", r, budget)
     core = tower.core
     key = ("periods", N, product_rule_cap)
     hit = core.cache.get(key)
@@ -292,8 +294,7 @@ def cyclotomic_numbers(
     r, p = tower.r, tower.p
     if N < 1 or (r - 1) % N:
         raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
-    if r > budget:
-        raise SizeBudgetExceeded(f"cyclotomic table at r = {r} exceeds budget {budget}")
+    require_enum_size("cyclotomic table", r, budget)
     core = tower.core
     slog = core.succ_log()
     k = np.arange(r - 1, dtype=np.int64)
@@ -302,8 +303,10 @@ def cyclotomic_numbers(
     counts = np.bincount(key, minlength=N * N).reshape(N, N)
     n = (r - 1) // N
     theta = _theta_flags(p, r, N)
-    assert (counts.sum(axis=1) == n - theta).all(), "cyclotomic row sums failed"
-    assert counts.sum() == r - 2
+    if not (counts.sum(axis=1) == n - theta).all():
+        raise AssertionError("cyclotomic row sums failed")
+    if counts.sum() != r - 2:
+        raise AssertionError("cyclotomic numbers must count every x with x, x + 1 nonzero")
     return CyclotomicTable(r, N, tuple(tuple(int(c) for c in row) for row in counts))
 
 
@@ -330,8 +333,7 @@ def gauss_sum_numeric(
     r, p = tower.r, tower.p
     if N < 1 or (r - 1) % N:
         raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
-    if r > budget:
-        raise SizeBudgetExceeded(f"Gauss sum at r = {r} exceeds budget {budget}")
+    require_enum_size("Gauss sum", r, budget)
     tr = tower.core.trace_by_log()
     k = np.arange(r - 1, dtype=np.int64)
     phase = 2 * np.pi * (((j % N) * k % N) / N + tr / p)
@@ -353,8 +355,7 @@ def quadratic_char_sum(
         raise EvenCharacteristic("quadratic character sums need odd characteristic")
     if a2.is_zero:
         raise ValueError("leading coefficient must be nonzero")
-    if r > budget:
-        raise SizeBudgetExceeded(f"character sum at r = {r} exceeds budget {budget}")
+    require_enum_size("character sum", r, budget)
     tr = tower.core.trace_by_log()
     t = np.arange(r - 1, dtype=np.int64)
     la2 = tower.discrete_log(a2)

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size budgets.
+
+The budgets live here, away from the numpy-backed field layer, so that the
+closed-form paths can refuse an oversize enumeration without loading it.
+"""
+
+DEFAULT_ENUM_BUDGET = 1 << 22
+DEFAULT_LOG_TABLE_BUDGET = 1 << 24
+DEFAULT_TOWER_BUDGET = 1 << 26
 
 
 class Error(Exception):
@@ -67,3 +75,15 @@ class OrderNotPrimePower(Error):
 
 class Unsupported(Error):
     """No closed form applies and exhaustive search is out of budget."""
+
+
+def require_tower_size(p: int, d: int, budget: int = DEFAULT_TOWER_BUDGET) -> None:
+    """Refuse to build GF(p^d) when it is larger than budget."""
+    if p**d > budget:
+        raise SizeBudgetExceeded(f"r = {p}^{d} exceeds the tower budget {budget}")
+
+
+def require_enum_size(what: str, r: int, budget: int) -> None:
+    """Refuse an enumeration of GF(r), named what, when r is larger than budget."""
+    if r > budget:
+        raise SizeBudgetExceeded(f"{what} at r = {r} exceeds budget {budget}")

@@ -23,11 +23,16 @@ from typing import Iterator
 import numpy as np
 
 from . import numtheory
-from .errors import NotPrime, SizeBudgetExceeded, ZeroHasNoLog
-
-DEFAULT_LOG_TABLE_BUDGET = 1 << 24
-DEFAULT_ENUM_BUDGET = 1 << 22
-DEFAULT_TOWER_BUDGET = 1 << 26
+# the budgets live in errors; fields.DEFAULT_ENUM_BUDGET still resolves
+from .errors import (
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_LOG_TABLE_BUDGET,
+    DEFAULT_TOWER_BUDGET,
+    NotPrime,
+    SizeBudgetExceeded,
+    ZeroHasNoLog,
+    require_tower_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +554,7 @@ def build_tower(
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
     d = s * m
-    if p**d > budget:
-        raise SizeBudgetExceeded(f"r = {p}^{d} exceeds the tower budget {budget}")
+    require_tower_size(p, d, budget)
     if modulus is not None:
         return FieldTower(p, s, m, _Core(p, d, modulus))
     core, towers = _field(p, d)

@@ -170,15 +170,17 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def semiprimitive_j(p: int, N: int) -> int | None:
+def semiprimitive_j(p: int, N: int, *, divisor_of: int | None = None) -> int | None:
     """Least j with p**j = -1 (mod N), or None when no such j exists.
 
     Exists iff the order e of p mod N is even with p**(e/2) = -1; then j = e/2.
+    divisor_of is passed to mult_order: a known multiple of the order, such as
+    d when N divides p**d - 1, spares factoring N.
     """
     if N <= 2:
         # -1 = 1 mod N, so j = order works; callers only use N >= 3
-        return mult_order(p, N) if N > 0 else None
-    e = mult_order(p, N)
+        return mult_order(p, N, divisor_of=divisor_of) if N > 0 else None
+    e = mult_order(p, N, divisor_of=divisor_of)
     if e % 2 == 0 and pow(p, e // 2, N) == N - 1:
         return e // 2
     return None

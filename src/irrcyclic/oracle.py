@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeBudgetExceeded
-from .fields import DEFAULT_ENUM_BUDGET, FieldElement, FieldTower, build_tower
+from .errors import DEFAULT_ENUM_BUDGET, require_enum_size
+from .fields import FieldElement, FieldTower, build_tower
 from .weights import CodeSpec, WeightDistribution, distribution_from_beta_weights
 
 
@@ -51,7 +51,8 @@ def _class_weights(spec: CodeSpec, tower: FieldTower) -> np.ndarray:
     # scaling beta by GF(q)* and multiplying by theta only move the log by
     # multiples of N1, so weights must be constant on classes mod N1
     folded = weights.reshape(spec.N // spec.N1, spec.N1)
-    assert (folded == folded[0]).all(), "weights must be constant on classes mod N1"
+    if not (folded == folded[0]).all():
+        raise AssertionError("weights must be constant on classes mod N1")
     return weights
 
 
@@ -63,14 +64,14 @@ def brute_weight_distribution(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> WeightDistribution:
     """Exact distribution by enumerating the field, within the size budget."""
-    if spec.r > budget:
-        raise SizeBudgetExceeded(f"oracle at r = {spec.r} exceeds budget {budget}")
+    require_enum_size("oracle", spec.r, budget)
     if tower is None:
         tower = build_tower(spec.p, spec.s, spec.m)
     if literal:
         return _literal_distribution(spec, tower)
-    weights = _class_weights(spec, tower)
-    pairs = [(int(w), spec.n) for w in weights]
+    # merge equal class weights here; each class holds n values of beta
+    values, classes = np.unique(_class_weights(spec, tower), return_counts=True)
+    pairs = [(int(w), int(c) * spec.n) for w, c in zip(values, classes)]
     return distribution_from_beta_weights(spec, pairs, "brute")
 
 
@@ -92,8 +93,7 @@ def count_Z(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> int:
     """Number of x in GF(r) with Tr(a * x^N) = 0 down to GF(q), by enumeration."""
-    if spec.r > budget:
-        raise SizeBudgetExceeded(f"solution count at r = {spec.r} exceeds budget {budget}")
+    require_enum_size("solution count", spec.r, budget)
     if a.is_zero:
         return spec.r
     zero = tower.traceq_zero_by_log()

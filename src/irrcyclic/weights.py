@@ -4,7 +4,9 @@ The code attached to (p, s, m, N) lives over GF(q), q = p^s, inside GF(r),
 r = q^m, and has length n = (r - 1) / N.  Its nonzero weights come from the
 Gaussian periods of order N1 = gcd((r-1)/(q-1), N).  `dist` and `periods`
 share one rule table, `closed_forms.closed_periods`, asked here at order N1;
-the prime-power form comes next and exact period enumeration last.
+the prime-power form comes next and exact period enumeration last.  Only the
+enumeration loads the numpy-backed field layer, so a closed form runs on
+integer arithmetic alone.
 
 Class weights are computed per beta-class and then pushed through a common
 finalizer that merges equal weights, strips the zero-weight kernel classes of
@@ -16,11 +18,13 @@ construction time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import closed_forms, cyclotomy, numtheory
+from . import closed_forms, numtheory
 from .errors import (
+    DEFAULT_ENUM_BUDGET,
     EvenPrime,
     IrrationalPeriod,
     NonIntegralWeight,
@@ -31,7 +35,6 @@ from .errors import (
     SizeBudgetExceeded,
     Unsupported,
 )
-from .fields import DEFAULT_ENUM_BUDGET, build_tower
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,13 @@ def code_params(p: int, s: int, m: int, N: int) -> CodeSpec:
 
 def weight_from_period(spec: CodeSpec, eta: int) -> int:
     """Weight of every codeword whose beta lies in the class with period eta."""
-    w = Fraction((spec.q - 1) * (spec.r - 1 - spec.N1 * eta), spec.q * spec.N)
-    if w.denominator != 1 or not 0 <= w <= spec.n:
-        raise NonIntegralWeight(f"period {eta} gives weight {w} for {spec}")
-    return int(w)
+    num = (spec.q - 1) * (spec.r - 1 - spec.N1 * eta)
+    w, rem = divmod(num, spec.q * spec.N)
+    if rem or not 0 <= w <= spec.n:
+        raise NonIntegralWeight(
+            f"period {eta} gives weight {Fraction(num, spec.q * spec.N)} for {spec}"
+        )
+    return w
 
 
 def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -> int:
@@ -143,7 +149,10 @@ def check_period_properties(spec: CodeSpec, periods) -> PeriodCheck:
     periods may be a GaussianPeriodSet or a plain sequence; it must contain
     exactly N1 values for the order-N1 classes of the code.
     """
-    if isinstance(periods, cyclotomy.GaussianPeriodSet):
+    # period sets and root-of-unity sums exist only once cyclotomy has loaded,
+    # and a plain sequence of ints must not load it
+    cyclotomy = sys.modules.get(f"{__package__}.cyclotomy")
+    if cyclotomy is not None and isinstance(periods, cyclotomy.GaussianPeriodSet):
         if periods.N != spec.N1:
             raise ValueError("period set order differs from N1")
         if periods.integer_values is None:
@@ -152,7 +161,7 @@ def check_period_properties(spec: CodeSpec, periods) -> PeriodCheck:
     else:
         values = []
         for v in periods:
-            if isinstance(v, cyclotomy.RootOfUnitySum):
+            if cyclotomy is not None and isinstance(v, cyclotomy.RootOfUnitySum):
                 if not v.is_integer:
                     return PeriodCheck(False, False, False)
                 v = v.as_integer()
@@ -286,7 +295,16 @@ def _closed_form(spec: CodeSpec) -> WeightDistribution | None:
     return None
 
 
+def build_tower(p: int, s: int, m: int):
+    """`fields.build_tower`; the numpy-backed field layer loads on first call."""
+    from . import fields
+
+    return fields.build_tower(p, s, m)
+
+
 def _brute(spec: CodeSpec, budget: int) -> WeightDistribution:
+    from . import cyclotomy
+
     tower = build_tower(spec.p, spec.s, spec.m)
     periods = cyclotomy.gaussian_periods_exact(tower, spec.N1, budget=budget)
     if periods.integer_values is None:

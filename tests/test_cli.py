@@ -240,6 +240,9 @@ def test_method_flag_does_not_leak_between_subcommands(capsys):
     # thm24 answers order 4 over GF(3^62); the order-4 period polynomial,
     # which JSON output never prints, is out of reach at this size
     (["periods", "--p", "3", "--s", "1", "--m", "62", "--N", "4"], 0, "thm24"),
+    # the thm24 rule takes ord_N(2), which divides m, without factoring N
+    (["dist", "--p", "2", "--s", "1", "--m", "256", "--N", str((2**256 - 1) // 3)], 3, None),
+    (["dist", "--p", "2", "--s", "1", "--m", "255", "--N", str((2**255 - 1) // 7)], 3, None),
 ])
 def test_large_specs_end_promptly(argv, rc, method):
     run = subprocess.run(
@@ -249,3 +252,52 @@ def test_large_specs_end_promptly(argv, rc, method):
     assert run.returncode == rc, run.stderr
     if method is not None:
         assert json.loads(run.stdout)["method"] == method
+
+
+def test_closed_paths_never_import_numpy():
+    # a closed-form dist, bounds or periods needs no field enumeration, and an
+    # oversize enumeration is refused before the field layer loads; verify
+    # enumerates, which shows that the check sees numpy when it arrives
+    code = (
+        "import contextlib, io, sys\n"
+        "import irrcyclic.cli as cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "            rc = cli.main(list(argv))\n"
+        "    return rc, err.getvalue(), 'numpy' in sys.modules\n"
+        "print('import', 0, 'numpy' in sys.modules)\n"
+        "spec = ('--p', '2', '--s', '1', '--m', '200', '--N', '3')\n"
+        "for name, argv in [\n"
+        "    ('dist', ('dist', *spec)),\n"
+        "    ('bounds', ('bounds', *spec)),\n"
+        "    ('periods-json', ('periods', *spec, '--format', 'json')),\n"
+        "    ('periods-text', ('periods', '--p', '7', '--s', '1', '--m', '3', '--N', '3')),\n"
+        "    ('tower-budget', ('periods', '--p', '2', '--s', '1', '--m', '40', '--N', '5',\n"
+        "                      '--method', 'brute')),\n"
+        "    ('enum-budget', ('periods', '--p', '2', '--s', '1', '--m', '24', '--N', '5',\n"
+        "                     '--method', 'brute')),\n"
+        "    ('verify', ('verify', '--p', '2', '--s', '1', '--m', '4', '--N', '3')),\n"
+        "]:\n"
+        "    rc, err, loaded = run(*argv)\n"
+        "    print(name, rc, loaded, err.strip())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = [line.rstrip() for line in out.stdout.splitlines()]
+    assert lines[:5] == [
+        "import 0 False",
+        "dist 0 False",
+        "bounds 0 False",
+        "periods-json 0 False",
+        "periods-text 0 False",
+    ]
+    # the refusals keep the text and the order of the field layer's checks
+    assert lines[5:7] == [
+        "tower-budget 3 False unsupported: SizeBudgetExceeded:"
+        " r = 2^40 exceeds the tower budget 67108864",
+        "enum-budget 3 False unsupported: SizeBudgetExceeded:"
+        " period enumeration at r = 16777216 exceeds budget 4194304",
+    ]
+    assert lines[7] == "verify 0 True"
+

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,3 +202,32 @@ def test_quadratic_char_sum_shifts():
     base = cyclotomy.quadratic_char_sum(t, t.one, t.zero, t.zero)
     shifted = cyclotomy.quadratic_char_sum(t, t.one, t.scalar(2), t.scalar(1))
     assert abs(abs(shifted.evaluate()) - abs(base.evaluate())) < 1e-9
+
+
+def test_period_checks_hold_under_optimize():
+    # periods (1, 2) of order 2 over GF(7) break both identities; a monic
+    # cubic whose roots do not expand to it breaks the polynomial check
+    code = (
+        "import numpy as np\n"
+        "from irrcyclic import closed_forms, cyclotomy\n"
+        "checks = [\n"
+        "    lambda: cyclotomy._check_sum_rule(7, np.array([1, 0, 0, 0, 0, 0, 0])),\n"
+        "    lambda: cyclotomy._check_product_rule_int(\n"
+        "        np.array([1, 2]), 7, 2, cyclotomy._theta_flags(7, 7, 2)),\n"
+        "    lambda: closed_forms.PeriodPolynomial(3, 7, (0, 0, 0, 1), ((1, 3),)),\n"
+        "]\n"
+        "for check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('passed')\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "period sum identity failed",
+        "period product identity failed",
+        "roots do not expand to the coefficients",
+    ]

@@ -1,0 +1,42 @@
+"""The package namespace: lazy exports that resolve to their source objects."""
+
+import importlib
+import subprocess
+import sys
+import types
+
+import irrcyclic
+
+
+def test_every_export_resolves_to_its_source():
+    listed = dir(irrcyclic)
+    for name in irrcyclic.__all__:
+        obj = getattr(irrcyclic, name)
+        assert name in listed
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"irrcyclic.{name}"]
+        else:
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_exports_load_on_first_use():
+    code = (
+        "import sys\n"
+        "import irrcyclic\n"
+        "print('numpy' in sys.modules)\n"
+        "from irrcyclic import code_params, cyclotomy\n"
+        "print('numpy' in sys.modules, cyclotomy is sys.modules['irrcyclic.cyclotomy'])\n"
+        "print(code_params is sys.modules['irrcyclic.weights'].code_params)\n"
+        "try:\n"
+        "    irrcyclic.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "False",
+        "True True",
+        "True",
+        "module 'irrcyclic' has no attribute 'no_such_name'",
+    ]
