@@ -300,13 +300,14 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _add_run_flags(sp, default_method: str) -> None:
+def _add_run_flags(sp, default_method: str | None) -> None:
     # fresh actions per subparser: argparse parents share action objects, so
     # a per-command default would leak into every sibling
-    sp.add_argument("--method", choices=_METHODS, default=default_method)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-                    help="largest field size the enumeration paths accept")
+    if default_method is not None:
+        sp.add_argument("--method", choices=_METHODS, default=default_method)
+        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                        help="largest field size the enumeration paths accept")
 
 
 def _add_param_flags(sp) -> None:
@@ -329,12 +330,13 @@ def _parser() -> argparse.ArgumentParser:
         ("dist", cmd_dist, True, "auto", "weight distribution"),
         ("verify", cmd_verify, True, "closed",
          "closed form against the enumeration oracle"),
-        ("bounds", cmd_bounds, True, "auto",
+        ("bounds", cmd_bounds, True, None,
          "divisibility and weight bounds only"),
         ("periods", cmd_periods, True, "auto", "Gaussian periods of order N"),
-        ("table1", cmd_table1, False, "auto",
+        ("table1", cmd_table1, False, None,
          "recompute the published bound table"),
     )
+    # default_method None: the command enumerates nothing, so it takes --format only
     for name, fn, takes_params, default_method, help_text in commands:
         sp = sub.add_parser(name, help=help_text)
         if takes_params:

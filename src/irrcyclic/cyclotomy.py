@@ -2,16 +2,18 @@
 
 Values living in Z[zeta_p] are carried as integer count vectors over the
 p-th roots of unity, so everything here is exact; complex floats appear only
-in the numeric cross-check helpers.
+in the numeric cross-check helpers.  A period set of order N is one (N, p)
+count matrix whose row k is period k in that canonical form.
 
-Period sets verify two classical identities at construction time: the sum of
-all periods is -1 (always, exactly), and the shifted product sum equals
-r*theta_k - n.  The product identity is checked exactly: via integer FFTs
-when all periods are integers, via a 2D convolution of the trace histogram
-when they are not (the cap covers every extension field up to 2^12), and via
-a structural argument over prime fields, where the histogram is forced to be
-a class indicator and the identity follows by a change of variable.  The
-checked flag records whether any of these ran.
+Period sets verify two classical identities at construction time, on the
+(class, trace) histogram before it is made canonical: the sum of all periods
+is -1 (always, exactly), and the shifted product sum equals r*theta_k - n.
+The product identity is checked exactly: via integer FFTs when all periods
+are integers, via a 2D convolution of the histogram when they are not (the
+cap covers every extension field up to 2^12), and via a structural argument
+over prime fields, where the histogram is forced to be a class indicator and
+the identity follows by a change of variable.  The checked flag records
+whether any of these ran.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -136,22 +139,37 @@ def dlog_of_minus_one(p: int, r: int) -> int:
     return 0 if p == 2 else (r - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPeriodSet:
-    """Exact Gaussian periods of order N over GF(r), indexed by class."""
+    """Exact Gaussian periods of order N over GF(r), indexed by class.
+
+    counts is the read-only (N, p) canonical count matrix: period k is
+    sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.
+    """
 
     r: int
     N: int
     p: int
-    values: tuple[RootOfUnitySum, ...]
-    integer_values: tuple[int, ...] | None
+    counts: np.ndarray
     product_rule_checked: bool
 
     def __len__(self) -> int:
         return self.N
 
+    @cached_property
+    def integer_values(self) -> tuple[int, ...] | None:
+        """The periods as ints, or None when some period is irrational."""
+        if self.counts[:, 1:].any():
+            return None
+        return tuple(self.counts[:, 0].tolist())
+
+    @cached_property
+    def values(self) -> tuple[RootOfUnitySum, ...]:
+        """The periods as RootOfUnitySum objects, built on first read."""
+        return tuple(RootOfUnitySum(self.p, row.tolist()) for row in self.counts)
+
     def numeric(self) -> np.ndarray:
-        return np.array([v.evaluate() for v in self.values], dtype=complex)
+        return self.counts @ np.exp(2j * np.pi * np.arange(self.p) / self.p)
 
 
 def _theta_flags(p: int, r: int, N: int) -> np.ndarray:
@@ -162,8 +180,9 @@ def _theta_flags(p: int, r: int, N: int) -> np.ndarray:
 
 
 def _check_sum_rule(p: int, tr_hist: np.ndarray) -> None:
-    total = RootOfUnitySum(p, tr_hist)
-    if total != -1:
+    """The trace histogram of the whole field, canonicalised, is (-1, 0, ..., 0)."""
+    total = tr_hist - tr_hist[-1]
+    if total[0] != -1 or total[1:].any():
         raise AssertionError("period sum identity failed")
 
 
@@ -196,12 +215,10 @@ def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarra
     return True
 
 
-def _check_product_rule_table(
-    hist: np.ndarray, r: int, N: int, p: int, theta: np.ndarray, cap: int = PRODUCT_RULE_CAP
-) -> bool:
+def _check_product_rule_table(hist: np.ndarray, r: int, N: int, p: int, theta: np.ndarray) -> bool:
     """Exact product check for non-integer periods via a 2D convolution:
     correlate over the class axis, convolve over the root-of-unity axis."""
-    if N * p > cap:
+    if N * p > PRODUCT_RULE_CAP:
         return False
     total = int(hist.sum())
     if total * total * (math.log2(N * p) + 4) >= 2**50:
@@ -210,11 +227,10 @@ def _check_product_rule_table(
     rev = f[(-np.arange(N)) % N, :]
     conv = np.fft.ifft2(rev * f)
     table = np.rint(conv.real).astype(np.int64)
-    target = r * theta - (r - 1) // N
-    for k in range(N):
-        row = RootOfUnitySum(p, table[k])
-        if row != int(target[k]):
-            raise AssertionError("period product identity failed")
+    target = np.zeros((N, p), dtype=np.int64)
+    target[:, 0] = r * theta - (r - 1) // N
+    if not (table - table[:, -1:] == target).all():
+        raise AssertionError("period product identity failed")
     return True
 
 
@@ -236,11 +252,7 @@ def _check_product_rule_prime_field(hist: np.ndarray, core, N: int) -> bool:
 
 
 def gaussian_periods_exact(
-    tower: FieldTower,
-    N: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    product_rule_cap: int = PRODUCT_RULE_CAP,
+    tower: FieldTower, N: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> GaussianPeriodSet:
     """All N Gaussian periods of order N over the top field, exactly.
 
@@ -251,7 +263,7 @@ def gaussian_periods_exact(
         raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
     require_enum_size("period enumeration", r, budget)
     core = tower.core
-    key = ("periods", N, product_rule_cap)
+    key = ("periods", N)
     hit = core.cache.get(key)
     if hit is not None:
         return hit
@@ -259,18 +271,18 @@ def gaussian_periods_exact(
     codes = core.trace_by_log().reshape(-1, N) + p * np.arange(N, dtype=np.int64)
     hist = np.bincount(codes.ravel(), minlength=N * p).reshape(N, p)
     _check_sum_rule(p, hist.sum(axis=0))
-    values = tuple(RootOfUnitySum(p, row) for row in hist)
     theta = _theta_flags(p, r, N)
-    if all(v.is_integer for v in values):
-        ints = tuple(v.as_integer() for v in values)
-        checked = _check_product_rule_int(np.array(ints, dtype=np.int64), r, N, theta)
+    # a period is an integer when its row is constant off column 0
+    if not np.ptp(hist[:, 1:], axis=1).any():
+        checked = _check_product_rule_int(hist[:, 0] - hist[:, -1], r, N, theta)
+    elif core.d == 1:
+        checked = _check_product_rule_prime_field(hist, core, N)
     else:
-        ints = None
-        if core.d == 1:
-            checked = _check_product_rule_prime_field(hist, core, N)
-        else:
-            checked = _check_product_rule_table(hist, r, N, p, theta, product_rule_cap)
-    out = GaussianPeriodSet(r, N, p, values, ints, checked)
+        checked = _check_product_rule_table(hist, r, N, p, theta)
+    # canonical form in place: a copy would double the largest array here
+    hist -= hist[:, -1:]
+    hist.flags.writeable = False
+    out = GaussianPeriodSet(r, N, p, hist, checked)
     core.cache[key] = out
     return out
 

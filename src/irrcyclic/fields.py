@@ -455,9 +455,6 @@ class FieldTower:
     def one(self) -> FieldElement:
         return self.scalar(1)
 
-    def element_from_log(self, k: int) -> FieldElement:
-        return self.alpha ** (k % (self.r - 1))
-
     def elements(self) -> Iterator[FieldElement]:
         """All r elements, zero first then powers of alpha."""
         yield self.zero

@@ -2,8 +2,7 @@
 
 Everything here is exact integer arithmetic.  The diophantine solvers return
 the canonical representative demanded by the formulas that consume them
-(sign congruences pin the solution down uniquely); the optional ``*_sign``
-keywords exist so tests can exercise the documented sign invariance.
+(sign congruences pin the solution down uniquely).
 """
 
 from __future__ import annotations
@@ -228,11 +227,10 @@ class DiophantineRep:
         return iter((self.first, self.second))
 
 
-def solve_c27d(m: int, p: int, *, d_sign: int = 1) -> DiophantineRep:
+def solve_c27d(m: int, p: int) -> DiophantineRep:
     """The unique (c, d) with 4m = c^2 + 27 d^2, c = 1 (mod 3), d >= 0.
 
-    When p = 1 (mod 3) the solution with gcd(c, p) = 1 is selected.  d_sign
-    flips the sign of the returned d (the two signs are conjugate solutions).
+    When p = 1 (mod 3) the solution with gcd(c, p) = 1 is selected.
     """
     target = 4 * m
     hits = []
@@ -250,11 +248,10 @@ def solve_c27d(m: int, p: int, *, d_sign: int = 1) -> DiophantineRep:
     if len(hits) != 1:
         raise NoRepresentation(f"4*{m} = c^2 + 27 d^2 has {len(hits)} admissible solutions")
     c, d = hits[0]
-    note = "d >= 0" if d_sign >= 0 else "d <= 0"
-    return DiophantineRep("c27d", c, d_sign * d, note)
+    return DiophantineRep("c27d", c, d, "d >= 0")
 
 
-def solve_u4v(m: int, p: int, *, v_sign: int = 1) -> DiophantineRep:
+def solve_u4v(m: int, p: int) -> DiophantineRep:
     """The unique (u, v) with m = u^2 + 4 v^2, u = 1 (mod 4), v >= 0.
 
     When p = 1 (mod 4) the solution with gcd(u, p) = 1 is selected.
@@ -274,11 +271,10 @@ def solve_u4v(m: int, p: int, *, v_sign: int = 1) -> DiophantineRep:
     if len(hits) != 1:
         raise NoRepresentation(f"{m} = u^2 + 4 v^2 has {len(hits)} admissible solutions")
     u, v = hits[0]
-    note = "v >= 0" if v_sign >= 0 else "v <= 0"
-    return DiophantineRep("u4v", u, v_sign * v, note)
+    return DiophantineRep("u4v", u, v, "v >= 0")
 
 
-def solve_alb(p: int, l: int, h: int, *, b_sign: int = 1) -> DiophantineRep:
+def solve_alb(p: int, l: int, h: int) -> DiophantineRep:
     """(a, b) with a^2 + l b^2 = 4 p^h, a = -2 p^((l-1+2h)/4) (mod l), b > 0.
 
     The congruence fixes the sign of a; h is the class number of -l, which is
@@ -295,7 +291,6 @@ def solve_alb(p: int, l: int, h: int, *, b_sign: int = 1) -> DiophantineRep:
         if a * a == rest:
             for aa in (a, -a):
                 if aa % l == need:
-                    note = "a pinned mod l, " + ("b > 0" if b_sign >= 0 else "b < 0")
-                    return DiophantineRep("alb", aa, b_sign * b, note)
+                    return DiophantineRep("alb", aa, b, "a pinned mod l, b > 0")
         b += 1
     raise NoRepresentation(f"a^2 + {l} b^2 = 4*{p}^{h} has no admissible solution")

@@ -18,7 +18,6 @@ construction time.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,28 +145,15 @@ class PeriodCheck:
 def check_period_properties(spec: CodeSpec, periods) -> PeriodCheck:
     """Check integrality, N1*eta = -1 (mod q), and the sqrt(r) bound.
 
-    periods may be a GaussianPeriodSet or a plain sequence; it must contain
-    exactly N1 values for the order-N1 classes of the code.
+    periods is a period set (anything with `integer_values`, None when some
+    period is irrational) or a sequence of ints; it must hold exactly N1
+    values for the order-N1 classes of the code.
     """
-    # period sets and root-of-unity sums exist only once cyclotomy has loaded,
-    # and a plain sequence of ints must not load it
-    cyclotomy = sys.modules.get(f"{__package__}.cyclotomy")
-    if cyclotomy is not None and isinstance(periods, cyclotomy.GaussianPeriodSet):
-        if periods.N != spec.N1:
-            raise ValueError("period set order differs from N1")
-        if periods.integer_values is None:
-            return PeriodCheck(False, False, False)
-        values = periods.integer_values
-    else:
-        values = []
-        for v in periods:
-            if cyclotomy is not None and isinstance(v, cyclotomy.RootOfUnitySum):
-                if not v.is_integer:
-                    return PeriodCheck(False, False, False)
-                v = v.as_integer()
-            values.append(int(v))
-        if len(values) != spec.N1:
-            raise ValueError(f"expected {spec.N1} periods, got {len(values)}")
+    values = getattr(periods, "integer_values", periods)
+    if len(periods) != spec.N1:
+        raise ValueError(f"expected {spec.N1} periods, got {len(periods)}")
+    if values is None:
+        return PeriodCheck(False, False, False)
     congruent = all((spec.N1 * eta + 1) % spec.q == 0 for eta in values)
     radius = math.isqrt((spec.N1 - 1) ** 2 * spec.r)
     bounded = all(abs(spec.N1 * eta + 1) <= radius for eta in values)

@@ -145,6 +145,20 @@ def test_table1_text(capsys):
     assert bad[0].split()[:4] == ["312", "4", "240", "5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--p", "3", "--s", "1", "--m", "4", "--N", "2", "--method", "brute"],
+    ["bounds", "--p", "3", "--s", "1", "--m", "4", "--N", "2", "--budget", "100"],
+    ["table1", "--method", "auto"],
+    ["table1", "--budget", "100"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    # bounds and table1 enumerate nothing, so they take --format only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_json_schema_is_stable_across_commands(capsys):
     outs = []
     for argv in (["dist", "--p", "3", "--s", "1", "--m", "4", "--N", "2"],

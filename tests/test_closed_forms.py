@@ -268,11 +268,10 @@ def test_index2_periods_lam1_bigger():
 
 # -- the rule table at order N, against the enumeration oracle
 
-# A prime field takes only the N = 1 rule: every other rule needs its class
-# order (2j, 3, 4 or f) to divide d = 1.  The oracle's cost there grows with
-# p, so prime fields stop at 2^10; every extension field up to 2^14 is in.
+# Every field up to 2^14.  A prime field takes only the N = 1 rule: every
+# other rule needs its class order (2j, 3, 4 or f) to divide d = 1.
 TABLE_FIELDS = [(p, d) for p in range(2, 1 << 14) if numtheory.is_prime(p)
-                for d in range(1, 15) if p**d <= (1 << (10 if d == 1 else 14))]
+                for d in range(1, 15) if p**d <= 1 << 14]
 
 
 def test_closed_periods_match_oracle_at_every_order():

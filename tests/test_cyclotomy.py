@@ -144,6 +144,59 @@ def test_periods_non_integer_case():
     assert prod.is_integer
 
 
+def _trace_histogram(tower, N):
+    """hist[i, c] = #{k : k = i (mod N), Tr(alpha^k) = c}, built elementwise."""
+    hist = np.zeros((N, tower.p), dtype=np.int64)
+    for k, c in enumerate(tower.core.trace_by_log().tolist()):
+        hist[k % N, c] += 1
+    return hist
+
+
+def test_period_set_is_its_canonical_count_matrix():
+    for p, s, m in [(2, 1, 6), (3, 1, 3), (3, 1, 4), (7, 1, 1), (13, 1, 1), (5, 1, 2), (2, 2, 3)]:
+        t = build_tower(p, s, m)
+        for N in (d for d in range(1, t.r) if (t.r - 1) % d == 0 and d <= 16):
+            ps = cyclotomy.gaussian_periods_exact(t, N)
+            hist = _trace_histogram(t, N)
+            assert (ps.counts == hist - hist[:, -1:]).all(), (p, s, m, N)
+            assert not ps.counts.flags.writeable
+            with pytest.raises(ValueError):
+                ps.counts[0, 0] = 1
+            assert [v.counts for v in ps.values] == [tuple(row) for row in ps.counts.tolist()]
+            assert all(v.counts[-1] == 0 for v in ps.values)
+            integral = all(v.is_integer for v in ps.values)
+            assert (ps.integer_values is None) == (not integral), (p, s, m, N)
+            if integral:
+                assert ps.integer_values == tuple(v.as_integer() for v in ps.values)
+                assert all(type(v) is int for v in ps.integer_values)
+            want = np.array([v.evaluate() for v in ps.values])
+            assert np.abs(ps.numeric() - want).max() < 1e-9, (p, s, m, N)
+
+
+def _move_one_count(hist):
+    """hist with one count of row 0 moved to the next column: every row sum
+    stays, the periods do not."""
+    a = int(np.flatnonzero(hist[0])[0])
+    bad = hist.copy()
+    bad[0, a] -= 1
+    bad[0, (a + 1) % hist.shape[1]] += 1
+    return bad
+
+
+def test_product_checks_catch_a_moved_count():
+    t = build_tower(3, 1, 3)
+    hist = _trace_histogram(t, 2)
+    theta = cyclotomy._theta_flags(3, t.r, 2)
+    assert cyclotomy._check_product_rule_table(hist, t.r, 2, 3, theta)
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_product_rule_table(_move_one_count(hist), t.r, 2, 3, theta)
+    t = build_tower(7, 1, 1)
+    hist = _trace_histogram(t, 2)
+    assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)
+    with pytest.raises(AssertionError, match="class indicator"):
+        cyclotomy._check_product_rule_prime_field(_move_one_count(hist), t.core, 2)
+
+
 def test_periods_invalid_order():
     t = build_tower(3, 1, 2)
     with pytest.raises(NotADivisor):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrcyclic import closed_forms, weights
+from irrcyclic import closed_forms, cyclotomy, weights
 from irrcyclic.errors import (
     NonIntegralWeight,
     NotADivisor,
@@ -14,6 +14,7 @@ from irrcyclic.errors import (
     OrderNotPrimePower,
     Unsupported,
 )
+from irrcyclic.fields import build_tower
 
 
 def test_code_params_examples():
@@ -189,6 +190,19 @@ def test_check_period_properties():
     assert check.all_pass
     bad = weights.check_period_properties(spec, (-5, 100))
     assert not bad.bounded
+
+
+def test_check_period_properties_reads_a_period_set():
+    spec = weights.code_params(3, 1, 4, 2)
+    exact = cyclotomy.gaussian_periods_exact(build_tower(3, 1, 4), 2)
+    assert weights.check_period_properties(spec, exact).all_pass
+    # order-2 periods over GF(27) are irrational; order 4 has the wrong length
+    irrational = cyclotomy.gaussian_periods_exact(build_tower(3, 1, 3), 2)
+    assert weights.check_period_properties(spec, irrational) == weights.PeriodCheck(
+        False, False, False)
+    with pytest.raises(ValueError):
+        weights.check_period_properties(spec, cyclotomy.gaussian_periods_exact(
+            build_tower(3, 1, 4), 4))
 
 
 def test_distribution_invariants_enforced():
