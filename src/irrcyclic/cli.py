@@ -200,12 +200,6 @@ def cmd_periods(args) -> int:
     spec = weights.code_params(args.p, args.s, args.m, args.N)
     p, N, d = spec.p, spec.N, spec.s * spec.m
     rep = _base_report(spec)
-
-    poly = None
-    if args.format == "text" and N in (3, 4):
-        build = closed_forms.period_poly_order3 if N == 3 else closed_forms.period_poly_order4
-        poly = build(args.p, args.s, args.m)
-
     found = None if args.method == "brute" else closed_forms.closed_periods(p, d, N)
     if found is not None:
         rep.method, periods = found
@@ -232,8 +226,15 @@ def cmd_periods(args) -> int:
         lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(values)))
     elif by_class:
         lines.extend(f"eta_{i} = {v}" for i, v in enumerate(values))
-    if poly is not None:
-        lines.append(f"polynomial: {_poly_text(poly.coeffs)}")
+    if args.format == "text" and N in (3, 4):
+        if integral:
+            coeffs = closed_forms.expand_roots((v, 1) for v in values)
+        else:
+            # only an enumeration gives irrational periods, so r is within
+            # budget and the polynomial's scan over r stays short
+            build = closed_forms.period_poly_order3 if N == 3 else closed_forms.period_poly_order4
+            coeffs = build(args.p, args.s, args.m).coeffs
+        lines.append(f"polynomial: {_poly_text(coeffs)}")
         if not by_class:
             lines.append(
                 "roots: {" + ", ".join(str(v) for v in values)

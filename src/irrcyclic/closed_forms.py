@@ -8,6 +8,7 @@ when the theory pins them down, their integer root multisets.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,6 +185,18 @@ def periods_order2(p: int, s: int, m: int) -> tuple[int, int]:
     return eta0, -1 - eta0
 
 
+def expand_roots(roots) -> tuple[int, ...]:
+    """Ascending coefficients of the monic product of (X - value)^mult over
+    the (value, mult) pairs in roots."""
+    poly = [1]
+    for value, mult in roots:
+        for _ in range(mult):
+            poly = [0] + poly
+            for i in range(len(poly) - 1):
+                poly[i] -= value * poly[i + 1]
+    return tuple(poly)
+
+
 @dataclass(frozen=True)
 class PeriodPolynomial:
     """Monic integer polynomial whose roots are the order-N Gaussian periods.
@@ -203,13 +216,7 @@ class PeriodPolynomial:
         if self.roots is not None:
             if sum(mult for _, mult in self.roots) != self.N:
                 raise AssertionError("root multiplicities must sum to N")
-            poly = [1]
-            for value, mult in self.roots:
-                for _ in range(mult):
-                    poly = [0] + poly
-                    for i in range(len(poly) - 1):
-                        poly[i] -= value * poly[i + 1]
-            if tuple(poly) != self.coeffs:
+            if expand_roots(self.roots) != self.coeffs:
                 raise AssertionError("roots do not expand to the coefficients")
 
     def evaluate(self, x: int) -> int:
@@ -223,6 +230,50 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if num % den:
         raise AssertionError(f"{what} = {num}/{den} is not an integer")
     return num // den
+
+
+def _roots_order3(p: int, d: int) -> tuple[tuple[int, int], ...] | None:
+    """The order-3 periods over GF(p^d) as (value, multiplicity) pairs, when
+    the degree determines them; the one solve runs at p^(d/3), not at r."""
+    if p % 3 == 2:
+        # here d is even, else 3 would not divide r - 1
+        root = p ** (d // 2)
+        if (d // 2) % 2:
+            return ((_exact_div(-1 + 2 * root, 3, "root"), 1), (_exact_div(-1 - root, 3, "root"), 2))
+        return ((_exact_div(-1 - 2 * root, 3, "root"), 1), (_exact_div(-1 + root, 3, "root"), 2))
+    if d % 3 == 0:
+        cube = p ** (d // 3)
+        c1, d1 = numtheory.solve_c27d(cube, p)
+        half_plus = _exact_div(c1 + 9 * d1, 2, "conjugate pair")
+        half_minus = _exact_div(c1 - 9 * d1, 2, "conjugate pair")
+        return tuple(sorted(Counter([
+            _exact_div(-1 + c1 * cube, 3, "root"),
+            _exact_div(-1 - half_plus * cube, 3, "root"),
+            _exact_div(-1 - half_minus * cube, 3, "root"),
+        ]).items()))
+    return None
+
+
+def _roots_order4(p: int, d: int) -> tuple[tuple[int, int], ...] | None:
+    """The order-4 periods over GF(p^d) as (value, multiplicity) pairs, when
+    the degree determines them; the one solve runs at p^(d/2), not at r."""
+    if p % 4 == 3:
+        # 4 | r - 1 forces even degree here
+        root = p ** (d // 2)
+        if (d // 2) % 2:
+            return ((_exact_div(-1 + 3 * root, 4, "root"), 1), (_exact_div(-1 - root, 4, "root"), 3))
+        return ((_exact_div(-1 - 3 * root, 4, "root"), 1), (_exact_div(-1 + root, 4, "root"), 3))
+    if d % 4 == 0:
+        half = p ** (d // 2)
+        quarter = p ** (d // 4)
+        u1, v1 = numtheory.solve_u4v(half, p)
+        return tuple(sorted(Counter([
+            _exact_div(-1 - half - 2 * quarter * u1, 4, "root"),
+            _exact_div(-1 - half + 2 * quarter * u1, 4, "root"),
+            _exact_div(-1 + half - 4 * quarter * v1, 4, "root"),
+            _exact_div(-1 + half + 4 * quarter * v1, 4, "root"),
+        ]).items()))
+    return None
 
 
 def period_poly_order3(p: int, s: int, m: int) -> PeriodPolynomial:
@@ -240,29 +291,7 @@ def period_poly_order3(p: int, s: int, m: int) -> PeriodPolynomial:
         1,
         1,
     )
-    roots: tuple | None = None
-    if p % 3 == 2:
-        # here d is even, else 3 would not divide r - 1
-        root = p ** (d // 2)
-        if (d // 2) % 2:
-            roots = ((_exact_div(-1 + 2 * root, 3, "root"), 1), (_exact_div(-1 - root, 3, "root"), 2))
-        else:
-            roots = ((_exact_div(-1 - 2 * root, 3, "root"), 1), (_exact_div(-1 + root, 3, "root"), 2))
-    elif d % 3 == 0:
-        cube = p ** (d // 3)
-        c1, d1 = numtheory.solve_c27d(cube, p)
-        half_plus = _exact_div(c1 + 9 * d1, 2, "conjugate pair")
-        half_minus = _exact_div(c1 - 9 * d1, 2, "conjugate pair")
-        raw = [
-            _exact_div(-1 + c1 * cube, 3, "root"),
-            _exact_div(-1 - half_plus * cube, 3, "root"),
-            _exact_div(-1 - half_minus * cube, 3, "root"),
-        ]
-        grouped: dict[int, int] = {}
-        for v in raw:
-            grouped[v] = grouped.get(v, 0) + 1
-        roots = tuple(sorted(grouped.items()))
-    return PeriodPolynomial(3, r, coeffs, roots)
+    return PeriodPolynomial(3, r, coeffs, _roots_order3(p, d))
 
 
 def period_poly_order4(p: int, s: int, m: int) -> PeriodPolynomial:
@@ -291,29 +320,7 @@ def period_poly_order4(p: int, s: int, m: int) -> PeriodPolynomial:
             1,
             1,
         )
-    roots: tuple | None = None
-    if p % 4 == 3:
-        # 4 | r - 1 forces even degree here
-        root = p ** (d // 2)
-        if (d // 2) % 2:
-            roots = ((_exact_div(-1 + 3 * root, 4, "root"), 1), (_exact_div(-1 - root, 4, "root"), 3))
-        else:
-            roots = ((_exact_div(-1 - 3 * root, 4, "root"), 1), (_exact_div(-1 + root, 4, "root"), 3))
-    elif d % 4 == 0:
-        half = p ** (d // 2)
-        quarter = p ** (d // 4)
-        u1, v1 = numtheory.solve_u4v(half, p)
-        raw = [
-            _exact_div(-1 - half - 2 * quarter * u1, 4, "root"),
-            _exact_div(-1 - half + 2 * quarter * u1, 4, "root"),
-            _exact_div(-1 + half - 4 * quarter * v1, 4, "root"),
-            _exact_div(-1 + half + 4 * quarter * v1, 4, "root"),
-        ]
-        grouped: dict[int, int] = {}
-        for w in raw:
-            grouped[w] = grouped.get(w, 0) + 1
-        roots = tuple(sorted(grouped.items()))
-    return PeriodPolynomial(4, r, coeffs, roots)
+    return PeriodPolynomial(4, r, coeffs, _roots_order4(p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +506,10 @@ def _thm24(p: int, d: int, N: int):
     # p^j = -1 (mod N) makes ord_N(p) = 2j, and ord_N(p) divides d
     if d % (2 * j):
         raise AssertionError("the class order 2j must divide the extension degree")
-    return [(eta, 1) for eta in semiprimitive_periods(p, j, d // (2 * j), N).as_list()]
+    special, index, common = semiprimitive_periods(p, j, d // (2 * j), N)
+    # runs in class order, at most three however large N is
+    runs = [(common, index), (special, 1), (common, N - 1 - index)]
+    return [run for run in runs if run[1]]
 
 
 def _thm22(p: int, d: int, N: int):
@@ -513,14 +523,24 @@ def _thm22(p: int, d: int, N: int):
     return [(eta, 1) for eta in index2_periods(index2_params(p, l, lam, d // f))]
 
 
+def _checked_roots(p: int, d: int, N: int, roots):
+    # the sum rule, and the k = 0 product rule sum eta^2 = r - (r-1)/N, which
+    # holds with -1 in class 0: true for the N and odd p of thm19 and thm21
+    r = p**d
+    if (sum(mult * eta for eta, mult in roots) != -1
+            or sum(mult * eta * eta for eta, mult in roots) != r - (r - 1) // N):
+        raise AssertionError(f"order-{N} period roots fail the sum and product rules")
+    return list(roots)
+
+
 _RULES = (
     ("thm16", lambda p, d, N: [(-1, 1)] if N == 1 else None),
     ("thm18", lambda p, d, N: [(eta, 1) for eta in periods_order2(p, 1, d)]
         if N == 2 and d % 2 == 0 else None),
     ("thm24", _thm24),
-    ("thm19", lambda p, d, N: list(period_poly_order3(p, 1, d).roots)
+    ("thm19", lambda p, d, N: _checked_roots(p, d, N, _roots_order3(p, d))
         if N == 3 and p % 3 == 1 and d % 3 == 0 else None),
-    ("thm21", lambda p, d, N: list(period_poly_order4(p, 1, d).roots)
+    ("thm21", lambda p, d, N: _checked_roots(p, d, N, _roots_order4(p, d))
         if N == 4 and p % 4 == 1 and d % 4 == 0 else None),
     ("thm22", _thm22),
 )
@@ -534,8 +554,12 @@ def closed_periods(p: int, d: int, N: int) -> tuple[str, list[tuple[int, int]]] 
     """(tag, [(eta, multiplicity), ...]) from the first rule that gives the
     order-N Gaussian periods over GF(p^d), or None when none applies.
 
-    Periods come in class order, one per class, except for the tags in
-    ROOTS_ONLY.  Weights ask at order N1, `irrcyclic periods` at order N.
+    The pairs are runs in class order: repeating each eta multiplicity times
+    gives the N periods class by class, and a run of equal periods is one
+    pair, so a semiprimitive rule gives at most three pairs for any N.  For
+    the tags in ROOTS_ONLY the pairs are the distinct roots of the period
+    polynomial with their multiplicities, in no class order.  Weights ask at
+    order N1, `irrcyclic periods` at order N.
     """
     if N < 1 or (p**d - 1) % N:
         raise NotADivisor(f"N = {N} does not divide p^d - 1 = {p**d - 1}")

@@ -1,12 +1,13 @@
-"""Exception types shared across the package, and the size budgets.
+"""Exception types shared across the package, and the size limits.
 
-The budgets live here, away from the numpy-backed field layer, so that the
+The limits live here, away from the numpy-backed field layer, so that the
 closed-form paths can refuse an oversize enumeration without loading it.
+DEFAULT_ENUM_BUDGET is the default of the one size knob, `--budget`;
+TOWER_CAP is a fixed bound on the fields a tower is ever built for.
 """
 
 DEFAULT_ENUM_BUDGET = 1 << 22
-DEFAULT_LOG_TABLE_BUDGET = 1 << 24
-DEFAULT_TOWER_BUDGET = 1 << 26
+TOWER_CAP = 1 << 26
 
 
 class Error(Exception):
@@ -77,10 +78,10 @@ class Unsupported(Error):
     """No closed form applies and exhaustive search is out of budget."""
 
 
-def require_tower_size(p: int, d: int, budget: int = DEFAULT_TOWER_BUDGET) -> None:
-    """Refuse to build GF(p^d) when it is larger than budget."""
-    if p**d > budget:
-        raise SizeBudgetExceeded(f"r = {p}^{d} exceeds the tower budget {budget}")
+def require_tower_size(p: int, d: int) -> None:
+    """Refuse to build GF(p^d) when it is larger than TOWER_CAP."""
+    if p**d > TOWER_CAP:
+        raise SizeBudgetExceeded(f"r = {p}^{d} exceeds the tower budget {TOWER_CAP}")
 
 
 def require_enum_size(what: str, r: int, budget: int) -> None:

@@ -23,16 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numtheory
-# the budgets live in errors; fields.DEFAULT_ENUM_BUDGET still resolves
-from .errors import (
-    DEFAULT_ENUM_BUDGET,
-    DEFAULT_LOG_TABLE_BUDGET,
-    DEFAULT_TOWER_BUDGET,
-    NotPrime,
-    SizeBudgetExceeded,
-    ZeroHasNoLog,
-    require_tower_size,
-)
+from .errors import DEFAULT_ENUM_BUDGET, NotPrime, ZeroHasNoLog, require_tower_size
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +292,12 @@ class _Core:
             self._trace_by_log = self._sequence()[: self.r - 1]
         return self._trace_by_log
 
-    def log_table(self, budget: int = DEFAULT_LOG_TABLE_BUDGET) -> np.ndarray:
-        """table[window_code(x)] = discrete log of x, -1 for zero."""
+    def log_table(self) -> np.ndarray:
+        """table[window_code(x)] = discrete log of x, -1 for zero.
+
+        An r-entry array: callers have already passed an enumeration budget.
+        """
         if self._log is None:
-            if self.r > budget:
-                raise SizeBudgetExceeded(f"log table for r={self.r} exceeds budget {budget}")
             table = np.full(self.r, -1, dtype=np.int64)
             table[self._window_codes(np.zeros(self.d, dtype=np.int64))] = np.arange(
                 self.r - 1, dtype=np.int64
@@ -488,11 +480,14 @@ class FieldTower:
             acc = acc + cur
         return acc
 
-    def discrete_log(self, x: FieldElement, *, budget: int = DEFAULT_LOG_TABLE_BUDGET) -> int:
+    def discrete_log(self, x: FieldElement) -> int:
+        """The k with alpha^k = x: a table lookup within the default enumeration
+        budget, baby-step giant-step above it, so no one-off log builds a
+        whole-field table."""
         if x.is_zero:
             raise ZeroHasNoLog("zero is not a power of alpha")
-        if self.r <= budget:
-            return int(self.core.log_table(budget)[self.core.window_code(x.coeffs)])
+        if self.r <= DEFAULT_ENUM_BUDGET:
+            return int(self.core.log_table()[self.core.window_code(x.coeffs)])
         return self._bsgs(x)
 
     def _bsgs(self, x: FieldElement) -> int:
@@ -533,15 +528,10 @@ class FieldTower:
         return f"FieldTower(GF({self.p}^{self.s})^{self.m}, r={self.r})"
 
 
-def build_tower(
-    p: int,
-    s: int,
-    m: int,
-    *,
-    modulus: tuple | None = None,
-    budget: int = DEFAULT_TOWER_BUDGET,
-) -> FieldTower:
+def build_tower(p: int, s: int, m: int, *, modulus: tuple | None = None) -> FieldTower:
     """Construct (or fetch from cache) the tower GF(p) <= GF(p^s) <= GF(p^(s*m)).
+
+    Fields larger than errors.TOWER_CAP are refused.
 
     The modulus override exists so independence tests can rebuild the same
     field on a different basis; overridden towers bypass the cache.
@@ -551,7 +541,7 @@ def build_tower(
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
     d = s * m
-    require_tower_size(p, d, budget)
+    require_tower_size(p, d)
     if modulus is not None:
         return FieldTower(p, s, m, _Core(p, d, modulus))
     core, towers = _field(p, d)

@@ -135,8 +135,10 @@ def valuation(n: int, p: int) -> int:
 def mult_order(a: int, modulus: int, *, divisor_of: int | None = None) -> int:
     """Multiplicative order of a modulo modulus.
 
-    When the order is known to divide some D (for instance the degree of a
-    field extension), pass divisor_of=D to search only divisors of D.
+    The search starts from a multiple D of the order, phi(modulus) by
+    default, and divides D down prime by prime.  When the order is known to
+    divide some D (for instance the degree of a field extension), pass
+    divisor_of=D: only D is factored, never the modulus.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -145,17 +147,14 @@ def mult_order(a: int, modulus: int, *, divisor_of: int | None = None) -> int:
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"{a} shares a factor with {modulus}")
-    if divisor_of is not None:
-        for d in divisors(divisor_of):
-            if pow(a, d, modulus) == 1:
-                return d
+    order = divisor_of
+    if order is None:
+        order = 1
+        for p, e in factorize(modulus).items():
+            order *= (p - 1) * p ** (e - 1)
+    if pow(a, order, modulus) != 1:
         raise ValueError(f"order of {a} mod {modulus} does not divide {divisor_of}")
-    # reduce the group exponent prime by prime
-    phi = 1
-    for p, e in factorize(modulus).items():
-        phi *= (p - 1) * p ** (e - 1)
-    order = phi
-    for p in factorize(phi):
+    for p in factorize(order):
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order

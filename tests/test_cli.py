@@ -1,6 +1,7 @@
 """Command line interface: output text, JSON schema, exit codes."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -248,20 +249,35 @@ def test_method_flag_does_not_leak_between_subcommands(capsys):
     assert rc == 3
 
 
+def _limit_memory():
+    # 1 GiB of address space: an answer that grows with N fails fast here
+    # instead of paging the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize("argv,rc,method", [
     # n = (2^255 - 1)/31 is not a prime power; deciding that must not factor n
     (["dist", "--p", "2", "--s", "1", "--m", "255", "--N", "31"], 3, None),
-    # thm24 answers order 4 over GF(3^62); the order-4 period polynomial,
-    # which JSON output never prints, is out of reach at this size
+    # thm24 answers order 4 over GF(3^62); the text form prints the
+    # polynomial of those periods, not one solved at r
     (["periods", "--p", "3", "--s", "1", "--m", "62", "--N", "4"], 0, "thm24"),
     # the thm24 rule takes ord_N(2), which divides m, without factoring N
     (["dist", "--p", "2", "--s", "1", "--m", "256", "--N", str((2**256 - 1) // 3)], 3, None),
     (["dist", "--p", "2", "--s", "1", "--m", "255", "--N", str((2**255 - 1) // 7)], 3, None),
+    (["periods", "--p", "3", "--s", "1", "--m", "62", "--N", "4", "--format", "text"], 0, None),
+    # no closed form, and the field is refused before any polynomial is built
+    (["periods", "--p", "7", "--s", "1", "--m", "31", "--N", "3", "--format", "text"], 3, None),
+    # thm24 at N = 2^32 + 1 gives its periods as runs, not as N entries
+    (["dist", "--p", "2", "--s", "1", "--m", "64", "--N", str(2**32 + 1)], 0, "thm24"),
+    # thm19 and thm21 solve for their roots at p^(d/3) and p^(d/2), not at r
+    (["dist", "--p", "7", "--s", "1", "--m", "30", "--N", "3"], 0, "thm19"),
+    (["dist", "--p", "13", "--s", "1", "--m", "24", "--N", "4"], 0, "thm21"),
 ])
 def test_large_specs_end_promptly(argv, rc, method):
+    fmt = [] if "--format" in argv else ["--format", "json"]
     run = subprocess.run(
-        [sys.executable, "-m", "irrcyclic.cli", *argv, "--format", "json"],
-        capture_output=True, text=True, timeout=20,
+        [sys.executable, "-m", "irrcyclic.cli", *argv, *fmt],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory,
     )
     assert run.returncode == rc, run.stderr
     if method is not None:

@@ -288,7 +288,14 @@ def test_closed_periods_match_oracle_at_every_order():
             want = Counter(eta for eta, mult in periods for _ in range(mult))
             assert Counter(got) == want, (p, d, N, tag)
             if tag in ("thm16", "thm18", "thm24"):
-                assert list(got) == [eta for eta, _ in periods], (p, d, N, tag)
+                # runs in class order: at most three, even for thm24
+                assert len(periods) <= 3
+                want_list = [eta for eta, mult in periods for _ in range(mult)]
+                assert list(got) == want_list, (p, d, N, tag)
+            if tag in cf.ROOTS_ONLY:
+                # the rule's roots are the polynomial's, solved at p^(d/3) or p^(d/2)
+                poly = cf.period_poly_order3 if N == 3 else cf.period_poly_order4
+                assert tuple(periods) == poly(p, 1, d).roots, (p, d, N, tag)
     assert seen == {"thm16", "thm18", "thm19", "thm21", "thm22", "thm24"}
 
 

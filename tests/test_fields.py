@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from irrcyclic.errors import SizeBudgetExceeded, ZeroHasNoLog
+from irrcyclic.errors import DEFAULT_ENUM_BUDGET, SizeBudgetExceeded, ZeroHasNoLog
 from irrcyclic.fields import FieldTower, _Core, build_tower
 from irrcyclic import fields, numtheory
 
@@ -140,7 +140,17 @@ def test_discrete_log_bsgs_matches_table():
     t = build_tower(3, 1, 4)
     for k in range(0, t.r - 1, 7):
         x = t.alpha ** k
-        assert t.discrete_log(x, budget=1) == t.discrete_log(x)
+        assert t._bsgs(x) == t.discrete_log(x)
+
+
+def test_discrete_log_past_the_budget_builds_no_table():
+    # r = 3^14 is above the default enumeration budget, so logs come from
+    # baby-step giant-step and the whole-field log table is never built
+    t = build_tower(3, 1, 14)
+    assert t.r > DEFAULT_ENUM_BUDGET
+    for k in (0, 1, 12345, t.r - 2):
+        assert t.discrete_log(t.alpha ** k) == k
+    assert t.core._log is None
 
 
 def test_element_arithmetic():

@@ -87,12 +87,16 @@ def test_mult_order_basics():
 
 def test_mult_order_minimal_exhaustive():
     for n in range(2, 200):
+        phi = sum(1 for b in range(1, n) if math.gcd(b, n) == 1)
         for a in range(1, n):
             if math.gcd(a, n) != 1:
                 continue
             k = nt.mult_order(a, n)
             assert pow(a, k, n) == 1
             assert all(pow(a, j, n) != 1 for j in range(1, k))
+            # the same minimum from any known multiple of the order
+            assert nt.mult_order(a, n, divisor_of=phi) == k
+            assert nt.mult_order(a, n, divisor_of=6 * phi) == k
 
 
 def test_mult_order_divisor_hint():
