@@ -202,6 +202,10 @@ def cmd_periods(args) -> int:
     rep = _base_report(spec)
     found = None if args.method == "brute" else closed_forms.closed_periods(p, d, N)
     if found is not None:
+        # every class gets its own printed value: refuse an order too large
+        # to list before expanding the runs
+        if N > args.budget:
+            raise errors.SizeBudgetExceeded(f"periods of order {N} exceed budget {args.budget}")
         rep.method, periods = found
         values = [eta for eta, mult in periods for _ in range(mult)]
     elif args.method == "closed":

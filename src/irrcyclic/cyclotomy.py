@@ -3,14 +3,16 @@
 Values living in Z[zeta_p] are carried as integer count vectors over the
 p-th roots of unity, so everything here is exact; complex floats appear only
 in the numeric cross-check helpers.  A period set of order N is one (N, p)
-count matrix whose row k is period k in that canonical form.
+count matrix whose row k is period k in that canonical form, and a table of
+cyclotomic numbers is likewise its (N, N) count matrix.
 
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
 is -1 (always, exactly), and the shifted product sum equals r*theta_k - n.
 The product identity is checked exactly: via integer FFTs when all periods
-are integers, via a 2D convolution of the histogram when they are not (the
-cap covers every extension field up to 2^12), and via a structural argument
+are integers, via a 2D convolution of the histogram when they are not (a
+real FFT, so only the half spectrum over the root-of-unity axis is formed;
+the cap covers every extension field up to 2^12), and via a structural argument
 over prime fields, where the histogram is forced to be a class indicator and
 the identity follows by a change of variable.  The checked flag records
 whether any of these ran.
@@ -223,10 +225,11 @@ def _check_product_rule_table(hist: np.ndarray, r: int, N: int, p: int, theta: n
     total = int(hist.sum())
     if total * total * (math.log2(N * p) + 4) >= 2**50:
         return False
-    f = np.fft.fft2(hist.astype(np.float64))
+    # real input: the half spectrum over the root-of-unity axis suffices, and
+    # s must be explicit because p is odd here
+    f = np.fft.rfft2(hist.astype(np.float64))
     rev = f[(-np.arange(N)) % N, :]
-    conv = np.fft.ifft2(rev * f)
-    table = np.rint(conv.real).astype(np.int64)
+    table = np.rint(np.fft.irfft2(rev * f, s=(N, p))).astype(np.int64)
     target = np.zeros((N, p), dtype=np.int64)
     target[:, 0] = r * theta - (r - 1) // N
     if not (table - table[:, -1:] == target).all():
@@ -287,17 +290,20 @@ def gaussian_periods_exact(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclotomicTable:
-    """Cyclotomic numbers (i, j) of order N: counts of x in C_i with x + 1 in C_j."""
+    """Cyclotomic numbers (i, j) of order N: counts of x in C_i with x + 1 in C_j.
+
+    counts is the read-only (N, N) int64 count matrix; indexing gives ints.
+    """
 
     r: int
     N: int
-    counts: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair
-        return self.counts[i % self.N][j % self.N]
+        return int(self.counts[i % self.N, j % self.N])
 
 
 def cyclotomic_numbers(
@@ -319,7 +325,8 @@ def cyclotomic_numbers(
         raise AssertionError("cyclotomic row sums failed")
     if counts.sum() != r - 2:
         raise AssertionError("cyclotomic numbers must count every x with x, x + 1 nonzero")
-    return CyclotomicTable(r, N, tuple(tuple(int(c) for c in row) for row in counts))
+    counts.flags.writeable = False
+    return CyclotomicTable(r, N, counts)
 
 
 def cyclotomic_class(tower: FieldTower, N: int, i: int) -> Iterator[FieldElement]:

@@ -184,14 +184,22 @@ class _Core:
     # -- construction helpers
 
     def _find_primitive(self) -> tuple:
-        one = (1,) + (0,) * (self.d - 1)
-        if self.r == 2:
+        """Smallest primitive element under the integer encoding."""
+        p, d, r = self.p, self.d, self.r
+        one = (1,) + (0,) * (d - 1)
+        if r == 2:
             return one
-        checks = [(self.r - 1) // ell for ell in numtheory.factorize(self.r - 1)]
-        for enc in range(2, self.r):
-            cand = _digits(enc, self.p, self.d)
-            if all(_ppow(cand, e, self.modulus, self.p) != one for e in checks):
-                return cand
+        checks = [(r - 1) // ell for ell in numtheory.factorize(r - 1)]
+        if d == 1:
+            for g in range(2, p):
+                if all(pow(g, e, p) != 1 for e in checks):
+                    return (g,)
+        else:
+            # encodings below p are GF(p), whose orders divide p - 1 < r - 1
+            for enc in range(p, r):
+                cand = _digits(enc, p, d)
+                if all(_ppow(cand, e, self.modulus, p) != one for e in checks):
+                    return cand
         raise AssertionError("no primitive element found")  # impossible
 
     def _frobenius_matrix(self) -> np.ndarray:

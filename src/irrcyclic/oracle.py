@@ -46,8 +46,8 @@ def codeword(spec: CodeSpec, tower: FieldTower, beta: FieldElement) -> Codeword:
 
 def _class_weights(spec: CodeSpec, tower: FieldTower) -> np.ndarray:
     """weights[c] = weight of every codeword with dlog(beta) = c (mod N)."""
-    nonzero = ~tower.traceq_zero_by_log()
-    weights = nonzero.reshape(spec.n, spec.N).sum(axis=0, dtype=np.int64)
+    zeros = tower.traceq_zero_by_log().reshape(spec.n, spec.N).sum(axis=0, dtype=np.int64)
+    weights = spec.n - zeros
     # scaling beta by GF(q)* and multiplying by theta only move the log by
     # multiples of N1, so weights must be constant on classes mod N1
     folded = weights.reshape(spec.N // spec.N1, spec.N1)
@@ -69,9 +69,13 @@ def brute_weight_distribution(
         tower = build_tower(spec.p, spec.s, spec.m)
     if literal:
         return _literal_distribution(spec, tower)
-    # merge equal class weights here; each class holds n values of beta
-    values, classes = np.unique(_class_weights(spec, tower), return_counts=True)
-    pairs = [(int(w), int(c) * spec.n) for w, c in zip(values, classes)]
+    # weights repeat with period N1, and each class mod N1 holds (r-1)/N1
+    # values of beta; the sqrt(r) bound keeps the weight range short
+    weights = _class_weights(spec, tower)[: spec.N1]
+    lo = int(weights.min())
+    per_class = (spec.r - 1) // spec.N1
+    merged = np.bincount(weights - lo).tolist()
+    pairs = [(lo + w, c * per_class) for w, c in enumerate(merged) if c]
     return distribution_from_beta_weights(spec, pairs, "brute")
 
 

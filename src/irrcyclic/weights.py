@@ -18,6 +18,7 @@ construction time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,9 +155,10 @@ def check_period_properties(spec: CodeSpec, periods) -> PeriodCheck:
         raise ValueError(f"expected {spec.N1} periods, got {len(periods)}")
     if values is None:
         return PeriodCheck(False, False, False)
-    congruent = all((spec.N1 * eta + 1) % spec.q == 0 for eta in values)
+    distinct = set(values)
+    congruent = all((spec.N1 * eta + 1) % spec.q == 0 for eta in distinct)
     radius = math.isqrt((spec.N1 - 1) ** 2 * spec.r)
-    bounded = all(abs(spec.N1 * eta + 1) <= radius for eta in values)
+    bounded = all(abs(spec.N1 * eta + 1) <= radius for eta in distinct)
     return PeriodCheck(True, congruent, bounded)
 
 
@@ -267,13 +269,23 @@ def _prime_power_entries(spec: CodeSpec, t: int, jj: int, d: int, ell: int):
     )
 
 
+def _period_pairs(spec: CodeSpec, periods) -> list[tuple[int, int]]:
+    """(weight, beta count) pairs, one per distinct order-N1 period.
+
+    periods holds (eta, multiplicity) runs; each class holds (r-1)/N1 betas.
+    """
+    merged = Counter()
+    for eta, mult in periods:
+        merged[eta] += mult
+    count = (spec.r - 1) // spec.N1
+    return [(weight_from_period(spec, eta), count * mult) for eta, mult in merged.items()]
+
+
 def _closed_form(spec: CodeSpec) -> WeightDistribution | None:
     found = closed_forms.closed_periods(spec.p, spec.s * spec.m, spec.N1)
     if found is not None:
         tag, periods = found
-        count = (spec.r - 1) // spec.N1
-        pairs = [(weight_from_period(spec, eta), count * mult) for eta, mult in periods]
-        return distribution_from_beta_weights(spec, pairs, tag)
+        return distribution_from_beta_weights(spec, _period_pairs(spec, periods), tag)
     # the one weight-level rule: it gives the weights without the periods
     shape = _prime_power_attempt(spec)
     if shape is not None:
@@ -297,9 +309,8 @@ def _brute(spec: CodeSpec, budget: int) -> WeightDistribution:
         raise IrrationalPeriod(
             f"order-{spec.N1} periods must be integers when N1 divides (r-1)/(q-1)"
         )
-    count = (spec.r - 1) // spec.N1
-    pairs = [(weight_from_period(spec, eta), count) for eta in periods.integer_values]
-    return distribution_from_beta_weights(spec, pairs, "brute")
+    runs = Counter(periods.integer_values).items()
+    return distribution_from_beta_weights(spec, _period_pairs(spec, runs), "brute")
 
 
 def weight_distribution(

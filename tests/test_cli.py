@@ -272,6 +272,11 @@ def _limit_memory():
     # thm19 and thm21 solve for their roots at p^(d/3) and p^(d/2), not at r
     (["dist", "--p", "7", "--s", "1", "--m", "30", "--N", "3"], 0, "thm19"),
     (["dist", "--p", "13", "--s", "1", "--m", "24", "--N", "4"], 0, "thm21"),
+    # periods prints one value per class, so that order is refused past the
+    # budget before the runs are expanded
+    (["periods", "--p", "2", "--s", "1", "--m", "64", "--N", str(2**32 + 1)], 3, None),
+    (["periods", "--p", "2", "--s", "1", "--m", "64", "--N", str(2**32 + 1),
+      "--format", "text"], 3, None),
 ])
 def test_large_specs_end_promptly(argv, rc, method):
     fmt = [] if "--format" in argv else ["--format", "json"]

@@ -77,6 +77,26 @@ def test_cyclotomic_numbers_diagonal_sums():
         assert sum(table[i, j] for i in range(N) for j in range(N)) == t.r - 2
 
 
+def test_cyclotomic_table_is_its_count_matrix():
+    for p, d in [(3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]:
+        t = build_tower(p, 1, d)
+        # dlog(alpha^k + 1) element by element, None where alpha^k = -1
+        ys = [t.alpha ** k + t.one for k in range(t.r - 1)]
+        succ = [None if y.is_zero else t.discrete_log(y) for y in ys]
+        for N in (N for N in range(1, 17) if (t.r - 1) % N == 0):
+            table = cyclotomy.cyclotomic_numbers(t, N)
+            assert table.counts.dtype == np.int64 and table.counts.shape == (N, N)
+            assert not table.counts.flags.writeable
+            want = np.zeros((N, N), dtype=np.int64)
+            for k, j in enumerate(succ):
+                if j is not None:
+                    want[k % N, j % N] += 1
+            assert (table.counts == want).all(), (p, d, N)
+            for i in range(N):
+                for j in range(N):
+                    assert type(table[i, j]) is int and table[i, j] == want[i, j]
+
+
 def test_cyclotomic_class_membership():
     t = build_tower(2, 1, 4)
     cls = list(cyclotomy.cyclotomic_class(t, 3, 1))
@@ -190,6 +210,15 @@ def test_product_checks_catch_a_moved_count():
     assert cyclotomy._check_product_rule_table(hist, t.r, 2, 3, theta)
     with pytest.raises(AssertionError, match="period product identity failed"):
         cyclotomy._check_product_rule_table(_move_one_count(hist), t.r, 2, 3, theta)
+    # odd p and N > 2 with irrational periods: the half-spectrum path, whose
+    # inverse transform needs the odd length p spelled out
+    t = build_tower(7, 1, 2)
+    assert cyclotomy.gaussian_periods_exact(t, 3).integer_values is None
+    hist = _trace_histogram(t, 3)
+    theta = cyclotomy._theta_flags(7, t.r, 3)
+    assert cyclotomy._check_product_rule_table(hist, t.r, 3, 7, theta)
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_product_rule_table(_move_one_count(hist), t.r, 3, 7, theta)
     t = build_tower(7, 1, 1)
     hist = _trace_histogram(t, 2)
     assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)

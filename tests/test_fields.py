@@ -224,6 +224,28 @@ def test_field_arrays_with_modulus_override(p, s, m, modulus):
     _check_field(tower, range(tower.r - 1))
 
 
+def _reference_primitive(core):
+    """The plain scan: smallest encoding from 2 up with no power (r-1)/ell equal to one."""
+    one = (1,) + (0,) * (core.d - 1)
+    if core.r == 2:
+        return one
+    checks = [(core.r - 1) // ell for ell in numtheory.factorize(core.r - 1)]
+    for enc in range(2, core.r):
+        cand = fields._digits(enc, core.p, core.d)
+        if all(fields._ppow(cand, e, core.modulus, core.p) != one for e in checks):
+            return cand
+    raise AssertionError("no primitive element found")
+
+
+def test_primitive_element_matches_the_plain_scan():
+    cores = [_Core(p, d) for p, d in _prime_powers(1 << 12)]
+    cores.append(_Core(1031, 2))
+    cores += [_Core(2, 6, (1, 0, 0, 1, 0, 0, 1)), _Core(3, 4, (2, 0, 1, 0, 1)),
+              _Core(2, 4, (1, 0, 0, 1, 1))]
+    for core in cores:
+        assert core.alpha_coeffs == _reference_primitive(core), (core.p, core.d, core.modulus)
+
+
 def test_non_primitive_alpha_is_rejected():
     # x^3 has order 5 in GF(16) = GF(2)[x]/(x^4 + x + 1): its trace sequence
     # still closes with period 15, but its windows repeat

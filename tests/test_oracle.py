@@ -46,8 +46,9 @@ def test_brute_matches_closed_battery():
 
 
 def test_literal_matches_class_mode():
+    # N = 1, N = r - 1 (n = 1) and the degenerate (2, 1, 6, 9) among them
     for args in [(3, 1, 4, 2), (2, 2, 3, 9), (7, 1, 2, 12), (2, 1, 4, 15),
-                 (2, 1, 3, 7), (3, 2, 2, 16)]:
+                 (2, 1, 3, 7), (3, 2, 2, 16), (3, 1, 4, 1), (3, 1, 4, 80), (2, 1, 6, 9)]:
         spec = weights.code_params(*args)
         fast = oracle.brute_weight_distribution(spec)
         slow = oracle.brute_weight_distribution(spec, literal=True)
