@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -223,14 +224,16 @@ def cmd_periods(args) -> int:
     # the roots of a period polynomial carry no class labels
     by_class = rep.method not in closed_forms.ROOTS_ONLY
 
+    # each value is rendered once: an irrational one costs O(p) to print
     rep.periods = tuple(str(v) for v in values)
     integral = all(isinstance(v, int) for v in values)
+    text = args.format == "text"
     lines = []
-    if by_class and integral:
-        lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(values)))
-    elif by_class:
-        lines.extend(f"eta_{i} = {v}" for i, v in enumerate(values))
-    if args.format == "text" and N in (3, 4):
+    if text and by_class and integral:
+        lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(rep.periods)))
+    elif text and by_class:
+        lines.extend(f"eta_{i} = {v}" for i, v in enumerate(rep.periods))
+    if text and N in (3, 4):
         if integral:
             coeffs = closed_forms.expand_roots((v, 1) for v in values)
         else:
@@ -241,8 +244,7 @@ def cmd_periods(args) -> int:
         lines.append(f"polynomial: {_poly_text(coeffs)}")
         if not by_class:
             lines.append(
-                "roots: {" + ", ".join(str(v) for v in values)
-                + "} (class assignment not determined)"
+                "roots: {" + ", ".join(rep.periods) + "} (class assignment not determined)"
             )
     if spec.N1 == N and integral:
         check = weights.check_period_properties(spec, values)
@@ -325,7 +327,9 @@ def _add_param_flags(sp) -> None:
                     help="divisor of p**(s*m) - 1 selecting the code")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never mutates it."""
     top = argparse.ArgumentParser(
         prog="irrcyclic",
         description="Exact weight distributions of irreducible cyclic codes.",

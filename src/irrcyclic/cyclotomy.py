@@ -2,9 +2,14 @@
 
 Values living in Z[zeta_p] are carried as integer count vectors over the
 p-th roots of unity, so everything here is exact; complex floats appear only
-in the numeric cross-check helpers.  A period set of order N is one (N, p)
-count matrix whose row k is period k in that canonical form, and a table of
-cyclotomic numbers is likewise its (N, N) count matrix.
+in the numeric cross-check helpers.  A period set of order N is one int32
+(N, p) count matrix whose row k is period k in that canonical form, and a
+table of cyclotomic numbers is likewise its (N, N) int64 count matrix.
+
+The period histogram is keyed on blocks of the trace sequence, never on one
+key per field element.  The trace sequence is narrow (one byte up to
+p = 256) and the count matrices are int32, so every sum of squares, product
+or shifted sum over them is taken in int64 or as Python ints.
 
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
@@ -28,8 +33,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DEFAULT_ENUM_BUDGET, EvenCharacteristic, NotADivisor, require_enum_size
-from .fields import FieldElement, FieldTower
+from .errors import (
+    DEFAULT_ENUM_BUDGET,
+    TOWER_CAP,
+    EvenCharacteristic,
+    NotADivisor,
+    SizeBudgetExceeded,
+    require_enum_size,
+)
+from .fields import SCRATCH_BLOCK, FieldElement, FieldTower
 
 PRODUCT_RULE_CAP = 1 << 18
 
@@ -145,8 +157,8 @@ def dlog_of_minus_one(p: int, r: int) -> int:
 class GaussianPeriodSet:
     """Exact Gaussian periods of order N over GF(r), indexed by class.
 
-    counts is the read-only (N, p) canonical count matrix: period k is
-    sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.
+    counts is the read-only int32 (N, p) canonical count matrix: period k
+    is sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.
     """
 
     r: int
@@ -192,6 +204,8 @@ def _int_autocorrelation(a: np.ndarray) -> np.ndarray | None:
     """Exact circular autocorrelation of an integer vector, or None if the
     float path cannot guarantee exact rounding."""
     n = len(a)
+    # int64 first: np.dot of an int32 count vector wraps
+    a = a.astype(np.int64)
     if np.abs(a).max(initial=0) < (1 << 19):
         bound = int(np.dot(a, a))
     else:
@@ -254,25 +268,47 @@ def _check_product_rule_prime_field(hist: np.ndarray, core, N: int) -> bool:
     return True
 
 
+def _class_trace_histogram(tr: np.ndarray, N: int, p: int) -> np.ndarray:
+    """hist[c, v] = #{k : k = c (mod N), tr[k] = v}, as an int32 (N, p) matrix:
+    a count is at most r <= TOWER_CAP, so int32 holds it.
+
+    Row k // N, column k % N of tr.reshape(-1, N) is keyed tr[k] + p * (k mod N)
+    one block of rows at a time, so no r-length key array exists.  A block
+    holds at least N * p elements, which bounds the bincount calls' total
+    cost by a small multiple of r + N * p.
+    """
+    rows = tr.reshape(-1, N)
+    step = max(SCRATCH_BLOCK, N * p) // N
+    offsets = p * np.arange(N, dtype=np.int64)
+    hist = np.zeros(N * p, dtype=np.int32)
+    for lo in range(0, len(rows), step):
+        # offsets are int64, so the narrow trace values are upcast here
+        hist += np.bincount((rows[lo : lo + step] + offsets).ravel(), minlength=N * p)
+    return hist.reshape(N, p)
+
+
 def gaussian_periods_exact(
     tower: FieldTower, N: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> GaussianPeriodSet:
     """All N Gaussian periods of order N over the top field, exactly.
 
-    Period k is the character sum over the coset alpha^k * <alpha^N>.
+    Period k is the character sum over the coset alpha^k * <alpha^N>.  The
+    (N, p) count matrix is refused past TOWER_CAP entries, like a field.
     """
     r, p = tower.r, tower.p
     if N < 1 or (r - 1) % N:
         raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
     require_enum_size("period enumeration", r, budget)
+    if N * p > TOWER_CAP:
+        raise SizeBudgetExceeded(
+            f"periods of order {N} over GF({r}) need {N} x {p} counts, past the cap {TOWER_CAP}"
+        )
     core = tower.core
     key = ("periods", N)
     hit = core.cache.get(key)
     if hit is not None:
         return hit
-    # row k // N, column k % N: one r-length key, tr[k] + p * (k mod N)
-    codes = core.trace_by_log().reshape(-1, N) + p * np.arange(N, dtype=np.int64)
-    hist = np.bincount(codes.ravel(), minlength=N * p).reshape(N, p)
+    hist = _class_trace_histogram(core.trace_by_log(), N, p)
     _check_sum_rule(p, hist.sum(axis=0))
     theta = _theta_flags(p, r, N)
     # a period is an integer when its row is constant off column 0
@@ -378,7 +414,8 @@ def quadratic_char_sum(
     tr = tower.core.trace_by_log()
     t = np.arange(r - 1, dtype=np.int64)
     la2 = tower.discrete_log(a2)
-    vals = tr[(2 * t + la2) % (r - 1)]
+    # int64 first: the sum of two narrow trace values may wrap
+    vals = tr[(2 * t + la2) % (r - 1)].astype(np.int64)
     if not a1.is_zero:
         la1 = tower.discrete_log(a1)
         vals = vals + tr[(t + la1) % (r - 1)]

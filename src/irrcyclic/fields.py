@@ -9,6 +9,13 @@ characteristic and top degree share the heavy per-field data (modulus,
 alpha, trace sequence, log table) through a small cache, so sweeping over
 subfield structures is cheap.
 
+Each whole-field array is stored at the width its values need: t in the
+smallest unsigned type that holds p - 1 (one byte up to p = 256), the
+subfield trace-zero masks as booleans, and only the log and successor-log
+tables, whose entries reach r, in int64.  Arithmetic on t runs in int64
+scratch blocks of SCRATCH_BLOCK entries, because sums and products of
+narrow entries wrap.
+
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
 primitive element always means smallest under that encoding.
@@ -24,6 +31,10 @@ import numpy as np
 
 from . import numtheory
 from .errors import DEFAULT_ENUM_BUDGET, NotPrime, ZeroHasNoLog, require_tower_size
+
+# entries of an int64 scratch block: the trace sequence is summed, and the
+# period histograms in cyclotomy are keyed, this many elements at a time
+SCRATCH_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,10 @@ class _Core:
         The first 2d terms fix the order-d recurrence alpha^d = sum c_i alpha^i.
         With alpha^n = sum a_i alpha^i (reduced by that recurrence), every
         known length n >= 2d extends by t[n + j] = sum a_i t[i + j] for
-        j <= n - d, so the known length doubles per step.
+        j <= n - d, so the known length doubles per step.  t has the dtype
+        np.min_scalar_type(p - 1); each step copies SCRATCH_BLOCK terms at a
+        time into int64 scratch, where products and sums cannot wrap, and
+        writes them back reduced mod p.
         """
         if self._seq is None:
             p, d = self.p, self.d
@@ -241,17 +255,27 @@ class _Core:
             minpoly = tuple(-ci % p for ci in c) + (1,)
             # the residue of X modulo the minimal polynomial of alpha
             gen = (0, 1) + (0,) * (d - 2) if d > 1 else (c[0],)
-            t = np.empty(total, dtype=np.int64)
+            t = np.empty(total, dtype=np.min_scalar_type(p - 1))
             t[: 2 * d] = head
+            # int64 scratch: the window of t that a block reads, and the block
+            width = min(SCRATCH_BLOCK, total)
+            window = np.empty(width + d - 1, dtype=np.int64)
+            acc = np.empty(width, dtype=np.int64)
             n = 2 * d
             while n < total:
                 take = min(n - d + 1, total - n)
-                new = t[n : n + take]
-                new[:] = 0
-                for i, a in enumerate(_ppow(gen, n, minpoly, p)):
-                    if a:
-                        new += t[i : i + take] if a == 1 else a * t[i : i + take]
-                new %= p
+                terms = [(i, a) for i, a in enumerate(_ppow(gen, n, minpoly, p)) if a]
+                for lo in range(0, take, width):
+                    size = min(width, take - lo)
+                    # t[lo + i + j] for i < d and j < size lies below n, so is known
+                    src = window[: size + d - 1]
+                    src[:] = t[lo : lo + size + d - 1]
+                    block = acc[:size]
+                    block[:] = 0
+                    for i, a in terms:
+                        block += src[i : i + size] if a == 1 else a * src[i : i + size]
+                    block %= p
+                    t[n + lo : n + lo + size] = block
                 n += take
             if not (t[self.r - 1 :] == t[:d]).all():
                 raise AssertionError("trace sequence must close with period r - 1")
@@ -270,7 +294,7 @@ class _Core:
         for i in range(self.d - 1, -1, -1):
             codes *= p
             if shift[i]:
-                np.add(t[i : i + n], shift[i], out=digit)
+                np.add(t[i : i + n], shift[i], out=digit, dtype=np.int64)
                 digit[digit >= p] -= p
                 codes += digit
             else:
@@ -295,7 +319,11 @@ class _Core:
     # -- whole-field arrays, all lazy
 
     def trace_by_log(self) -> np.ndarray:
-        """Absolute trace Tr(alpha^k) down to GF(p), indexed by k."""
+        """Absolute trace Tr(alpha^k) down to GF(p), indexed by k.
+
+        The dtype is np.min_scalar_type(p - 1), so callers that add or
+        multiply entries upcast first.
+        """
         if self._trace_by_log is None:
             self._trace_by_log = self._sequence()[: self.r - 1]
         return self._trace_by_log

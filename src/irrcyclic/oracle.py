@@ -100,7 +100,7 @@ def count_Z(
     require_enum_size("solution count", spec.r, budget)
     if a.is_zero:
         return spec.r
+    # a * x^N over nonzero x hits each log = da (mod N) exactly N times
     zero = tower.traceq_zero_by_log()
     da = tower.discrete_log(a)
-    idx = (da + spec.N * np.arange(spec.r - 1, dtype=np.int64)) % (spec.r - 1)
-    return 1 + int(zero[idx].sum())
+    return 1 + spec.N * int(zero[da % spec.N :: spec.N].sum())

@@ -277,6 +277,10 @@ def _limit_memory():
     (["periods", "--p", "2", "--s", "1", "--m", "64", "--N", str(2**32 + 1)], 3, None),
     (["periods", "--p", "2", "--s", "1", "--m", "64", "--N", str(2**32 + 1),
       "--format", "text"], 3, None),
+    # an enumerated (N, p) period histogram past the tower cap is refused
+    # before it is allocated
+    (["periods", "--p", "4194301", "--s", "1", "--m", "1", "--N", "4194300",
+      "--method", "brute"], 3, None),
 ])
 def test_large_specs_end_promptly(argv, rc, method):
     fmt = [] if "--format" in argv else ["--format", "json"]

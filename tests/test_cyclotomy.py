@@ -179,6 +179,7 @@ def test_period_set_is_its_canonical_count_matrix():
             ps = cyclotomy.gaussian_periods_exact(t, N)
             hist = _trace_histogram(t, N)
             assert (ps.counts == hist - hist[:, -1:]).all(), (p, s, m, N)
+            assert ps.counts.dtype == np.int32
             assert not ps.counts.flags.writeable
             with pytest.raises(ValueError):
                 ps.counts[0, 0] = 1
@@ -284,6 +285,17 @@ def test_quadratic_char_sum_shifts():
     base = cyclotomy.quadratic_char_sum(t, t.one, t.zero, t.zero)
     shifted = cyclotomy.quadratic_char_sum(t, t.one, t.scalar(2), t.scalar(1))
     assert abs(abs(shifted.evaluate()) - abs(base.evaluate())) < 1e-9
+
+
+def test_quadratic_char_sum_matches_elementwise():
+    # over GF(251) two traces sum past 255, so a narrow trace array must be
+    # upcast before the linear term is added
+    t = build_tower(251, 1, 1)
+    a2, a1, a0 = t.scalar(3), t.scalar(200), t.scalar(249)
+    hist = [0] * t.p
+    for c in t.elements():
+        hist[t.trace(a2 * c * c + a1 * c + a0, "r->p").coeffs[0]] += 1
+    assert cyclotomy.quadratic_char_sum(t, a2, a1, a0) == cyclotomy.RootOfUnitySum(t.p, hist)
 
 
 def test_period_checks_hold_under_optimize():

@@ -26,7 +26,8 @@ def _prime_powers(limit):
 
 # every field up to 2^10, the edge fields r = 2 and r = 3 among them
 SMALL_FIELDS = _prime_powers(1 << 10)
-LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1)]
+# 251, 257 and 65537 are the primes next to the uint8/uint16/uint32 bounds of t
+LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1), (251, 2), (257, 2), (65537, 1)]
 
 
 def _check_field(tower, ks):
@@ -35,7 +36,9 @@ def _check_field(tower, ks):
     with baby-step giant-step on a sample of ks."""
     core, n = tower.core, tower.r - 1
     tr, log, succ = core.trace_by_log(), core.log_table(), core.succ_log()
-    assert tr.dtype == log.dtype == np.int64
+    # t is as narrow as p allows; the log tables hold values up to r
+    assert tr.dtype == np.min_scalar_type(tower.p - 1)
+    assert log.dtype == succ.dtype == np.int64
     assert tr.shape == succ.shape == (n,)
     assert log.shape == (tower.r,) and log[0] == -1
     splits = [FieldTower(tower.p, s, tower.degree // s, core)

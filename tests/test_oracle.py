@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from irrcyclic import cyclotomy, oracle, weights
 from irrcyclic.errors import SizeBudgetExceeded
-from irrcyclic.fields import build_tower
+from irrcyclic.fields import FieldTower, _Core, build_tower
 
 
 def test_codeword_entries_and_weight():
@@ -106,3 +108,20 @@ def test_oracle_weight_equals_n_minus_zeros():
         z = oracle.count_Z(spec, t, beta)
         w = oracle.codeword(spec, t, beta).weight
         assert w == spec.n - (z - 1) // spec.N
+
+
+def test_enumeration_peak_memory_per_element():
+    # one byte of trace per element and a period histogram keyed block by
+    # block: the oracle and the periods of a fresh field stay far below the
+    # 17 bytes per element that int64 arrays and an r-length key array take
+    for p, s, m, N in [(11, 1, 6, 35), (2, 2, 10, 33)]:
+        spec = weights.code_params(p, s, m, N)
+        tower = FieldTower(p, s, m, _Core(p, s * m))
+        tracemalloc.start()
+        try:
+            oracle.brute_weight_distribution(spec, tower)
+            cyclotomy.gaussian_periods_exact(tower, spec.N1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * spec.r, (p, s, m, N, peak / spec.r)
