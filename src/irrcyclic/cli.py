@@ -220,13 +220,17 @@ def cmd_periods(args) -> int:
         tower = fields.build_tower(args.p, args.s, args.m)
         pset = cyclotomy.gaussian_periods_exact(tower, N, budget=args.budget)
         rep.method = "brute"
-        values = list(pset.values if pset.integer_values is None else pset.integer_values)
+        values = pset.integer_values
+        if values is None:
+            # irrational periods are only printed, and each costs O(p) to
+            # render: render each count row once, building no RootOfUnitySum
+            rep.periods = tuple(cyclotomy.root_sum_text(p, row.tolist()) for row in pset.counts)
     # the roots of a period polynomial carry no class labels
     by_class = rep.method not in closed_forms.ROOTS_ONLY
 
-    # each value is rendered once: an irrational one costs O(p) to print
-    rep.periods = tuple(str(v) for v in values)
-    integral = all(isinstance(v, int) for v in values)
+    integral = values is not None
+    if integral:
+        rep.periods = tuple(str(v) for v in values)
     text = args.format == "text"
     lines = []
     if text and by_class and integral:

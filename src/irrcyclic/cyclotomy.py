@@ -16,8 +16,9 @@ Period sets verify two classical identities at construction time, on the
 is -1 (always, exactly), and the shifted product sum equals r*theta_k - n.
 The product identity is checked exactly: via integer FFTs when all periods
 are integers, via a 2D convolution of the histogram when they are not (a
-real FFT, so only the half spectrum over the root-of-unity axis is formed;
-the cap covers every extension field up to 2^12), and via a structural argument
+real FFT, so only the half spectrum over the root-of-unity axis is formed,
+transformed axis by axis in place; the cap covers every extension field up
+to 2^12), and via a structural argument
 over prime fields, where the histogram is forced to be a class indicator and
 the identity follows by a change of variable.  The checked flag records
 whether any of these ran.
@@ -143,9 +144,16 @@ class RootOfUnitySum:
         return hash((self.p, self.counts))
 
     def __repr__(self) -> str:
-        if self.is_integer:
-            return f"RootOfUnitySum({self.p}, {self.counts[0]})"
-        return f"RootOfUnitySum({self.p}, counts={self.counts})"
+        return root_sum_text(self.p, self.counts)
+
+
+def root_sum_text(p: int, counts) -> str:
+    """The one text form of sum(counts[t] * zeta_p**t), given canonical counts
+    (counts[p-1] = 0) as a sequence of ints: what RootOfUnitySum prints."""
+    if not any(counts[1:]):
+        return f"RootOfUnitySum({p}, {counts[0]})"
+    # a tuple's repr, spelled out so a list or a count-matrix row prints alike
+    return f"RootOfUnitySum({p}, counts=({', '.join(map(str, counts))}))"
 
 
 def dlog_of_minus_one(p: int, r: int) -> int:
@@ -231,22 +239,47 @@ def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarra
     return True
 
 
+def _product_table(hist: np.ndarray, N: int, p: int) -> np.ndarray:
+    """table[k, c] = sum_i sum_{a + b = c mod p} hist[i, a] * hist[i + k mod N, b]:
+    a correlation over the class axis and a convolution over the
+    root-of-unity axis, as a rounded float64 (N, p) array.  Exact while
+    hist.sum()^2 * (log2(N p) + 4) < 2^50.
+
+    The transform runs one axis at a time on a single complex half spectrum,
+    in place, and the real result is rounded in place, so the largest
+    arrays alive at once are hist, that spectrum and the result.
+    """
+    # real input: the half spectrum over the root-of-unity axis suffices
+    f = np.fft.rfft(hist, axis=1)
+    np.fft.fft(f, axis=0, out=f)
+    # correlating over the class axis multiplies row u by row -u mod N; that
+    # product is the same for u and -u, so compute it once per pair
+    lo, hi = f[1 : (N + 1) // 2], f[N - 1 : N // 2 : -1]
+    lo *= hi
+    hi[...] = lo
+    f[0] *= f[0]
+    if N % 2 == 0:
+        f[N // 2] *= f[N // 2]
+    np.fft.ifft(f, axis=0, out=f)
+    # the length must be explicit: irfft assumes an even one, and p is odd here
+    table = np.fft.irfft(f, p, axis=1)
+    return np.rint(table, out=table)
+
+
 def _check_product_rule_table(hist: np.ndarray, r: int, N: int, p: int, theta: np.ndarray) -> bool:
-    """Exact product check for non-integer periods via a 2D convolution:
-    correlate over the class axis, convolve over the root-of-unity axis."""
+    """Exact product check for non-integer periods via _product_table."""
     if N * p > PRODUCT_RULE_CAP:
         return False
     total = int(hist.sum())
     if total * total * (math.log2(N * p) + 4) >= 2**50:
         return False
-    # real input: the half spectrum over the root-of-unity axis suffices, and
-    # s must be explicit because p is odd here
-    f = np.fft.rfft2(hist.astype(np.float64))
-    rev = f[(-np.arange(N)) % N, :]
-    table = np.rint(np.fft.irfft2(rev * f, s=(N, p))).astype(np.int64)
-    target = np.zeros((N, p), dtype=np.int64)
-    target[:, 0] = r * theta - (r - 1) // N
-    if not (table - table[:, -1:] == target).all():
+    table = _product_table(hist, N, p)
+    # canonical form: sum_c table[k, c] zeta^c less table[k, p-1] times the
+    # zero sum 1 + zeta + ... + zeta^(p-1); every entry is exact in float64
+    # under the guard above; the column is copied first, or numpy would copy
+    # the whole table to resolve the overlap
+    table -= table[:, -1:].copy()
+    if table[:, 1:].any() or not (table[:, 0] == r * theta - (r - 1) // N).all():
         raise AssertionError("period product identity failed")
     return True
 
@@ -318,8 +351,9 @@ def gaussian_periods_exact(
         checked = _check_product_rule_prime_field(hist, core, N)
     else:
         checked = _check_product_rule_table(hist, r, N, p, theta)
-    # canonical form in place: a copy would double the largest array here
-    hist -= hist[:, -1:]
+    # canonical form in place: a copy would double the largest array here,
+    # and numpy makes one to resolve an overlap unless the column is copied
+    hist -= hist[:, -1:].copy()
     hist.flags.writeable = False
     out = GaussianPeriodSet(r, N, p, hist, checked)
     core.cache[key] = out

@@ -7,7 +7,10 @@ expressed relative to alpha.  Every whole-field array derives from one
 sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
 characteristic and top degree share the heavy per-field data (modulus,
 alpha, trace sequence, log table) through a small cache, so sweeping over
-subfield structures is cheap.
+subfield structures is cheap.  A tower holds alpha and its subfield
+generator as coefficient tuples and builds the elements on access, so no
+tower is in a reference cycle: a field the cache evicts is freed at once,
+and the cache's size bound is a bound on memory.
 
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
@@ -453,11 +456,22 @@ class FieldTower:
         self.degree = s * m
         self.core = core
         self.subfield_embedding = (self.r - 1) // (self.q - 1)
-        self.alpha = FieldElement(self, core.alpha_coeffs)
-        # powers of the subfield generator give a GF(p)-basis of GF(q)
-        g = _ppow(core.alpha_coeffs, self.subfield_embedding, core.modulus, p)
-        self.subfield_generator = FieldElement(self, g)
+        # coefficient tuples, not elements: an element points back at its
+        # tower, and that cycle would outlive the field cache's eviction
+        self._subfield_generator = _ppow(
+            core.alpha_coeffs, self.subfield_embedding, core.modulus, p
+        )
         self._traceq_zero: np.ndarray | None = None
+
+    @property
+    def alpha(self) -> FieldElement:
+        """The distinguished primitive element of the top field."""
+        return FieldElement(self, self.core.alpha_coeffs)
+
+    @property
+    def subfield_generator(self) -> FieldElement:
+        """g = alpha^((r-1)/(q-1)): its powers give a GF(p)-basis of GF(q)."""
+        return FieldElement(self, self._subfield_generator)
 
     # -- constructors
 
@@ -486,10 +500,10 @@ class FieldTower:
     def elements(self) -> Iterator[FieldElement]:
         """All r elements, zero first then powers of alpha."""
         yield self.zero
-        x = self.one
+        x, alpha = self.one, self.alpha
         for _ in range(self.r - 1):
             yield x
-            x = x * self.alpha
+            x = x * alpha
 
     # -- traces and logs
 
@@ -530,11 +544,11 @@ class FieldTower:
         n = self.r - 1
         step = math.isqrt(n - 1) + 1
         baby = {}
-        cur = self.one
+        cur, alpha = self.one, self.alpha
         for j in range(step):
             baby.setdefault(cur.coeffs, j)
-            cur = cur * self.alpha
-        giant = self.alpha ** (n - step)  # alpha^(-step)
+            cur = cur * alpha
+        giant = alpha ** (n - step)  # alpha^(-step)
         cur = x
         for i in range(step + 1):
             j = baby.get(cur.coeffs)
@@ -550,13 +564,18 @@ class FieldTower:
 
         With g = alpha^((r-1)/(q-1)), the powers 1, g, ..., g^(s-1) are a basis
         of GF(q) over GF(p), so Tr(x) to GF(q) vanishes iff Tr(g^i x) to GF(p)
-        vanishes for every i < s.
+        vanishes for every i < s.  The shifts are ANDed slice by slice into
+        one mask, so at most two booleans per element are alive.
         """
         if self._traceq_zero is None:
+            n = self.r - 1
             zero = self.core.trace_by_log() == 0
-            mask = zero
+            mask = zero if self.s == 1 else zero.copy()
             for i in range(1, self.s):
-                mask = mask & np.roll(zero, -i * self.subfield_embedding)
+                # mask[k] &= zero[(k + shift) mod n], the wrap as a second slice
+                shift = i * self.subfield_embedding % n
+                mask[: n - shift] &= zero[shift:]
+                mask[n - shift :] &= zero[:shift]
             self._traceq_zero = mask
         return self._traceq_zero
 

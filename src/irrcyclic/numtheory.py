@@ -16,18 +16,32 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs we use."""
+    """Primality: proven below 2^64, Baillie-PSW above.
+
+    Miller-Rabin on the twelve primes up to 37 is deterministic below
+    318665857834031151167461 > 2^64, a composite that passes all twelve
+    (Sorenson & Webster, Math. Comp. 2017).  Above 2^64 a strong base-2 test
+    plus a strong Lucas test with Selfridge's parameters decides: no
+    composite passing both is known (Baillie & Wagstaff, Math. Comp. 1980).
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 1 << 64:
+        return _strong_probable_prime(n, _MR_WITNESSES)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, bases: tuple) -> bool:
+    """Miller-Rabin for odd n > 2 and every base in bases."""
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -38,6 +52,64 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 2 with Selfridge's parameters: the first
+    D in 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D / n) = -1
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        # x / 2 mod n, n odd
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q^k mod n, from k = 1 up the bits of d; P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        # k -> 2k: U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # k -> k + 1: U = (P U + V) / 2, V = (D U + P V) / 2
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        # V_2k = V_k^2 - 2 Q^k
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:

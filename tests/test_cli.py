@@ -40,6 +40,14 @@ def test_dist_composite_p_exits_2(capsys):
     assert "NotPrime" in out
 
 
+def test_dist_strong_pseudoprime_p_exits_2(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin on every base up to 37
+    rc, out = run(capsys, "dist", "--p", "318665857834031151167461",
+                  "--s", "1", "--m", "2", "--N", "2")
+    assert rc == 2
+    assert "NotPrime" in out
+
+
 def test_dist_closed_miss_exits_3(capsys):
     rc, out = run(capsys, "dist", "--p", "3", "--s", "1", "--m", "4", "--N", "8",
                   "--method", "closed")

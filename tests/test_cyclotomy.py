@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from irrcyclic import closed_forms, cyclotomy
 from irrcyclic.errors import NotADivisor, SizeBudgetExceeded
-from irrcyclic.fields import build_tower
+from irrcyclic.fields import FieldTower, _Core, build_tower
 
 
 # -- exact root-of-unity sums
@@ -185,6 +186,10 @@ def test_period_set_is_its_canonical_count_matrix():
                 ps.counts[0, 0] = 1
             assert [v.counts for v in ps.values] == [tuple(row) for row in ps.counts.tolist()]
             assert all(v.counts[-1] == 0 for v in ps.values)
+            # the CLI renders count rows through the formatter repr uses
+            assert [repr(v) for v in ps.values] == [
+                cyclotomy.root_sum_text(p, row) for row in ps.counts.tolist()
+            ]
             integral = all(v.is_integer for v in ps.values)
             assert (ps.integer_values is None) == (not integral), (p, s, m, N)
             if integral:
@@ -225,6 +230,71 @@ def test_product_checks_catch_a_moved_count():
     assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)
     with pytest.raises(AssertionError, match="class indicator"):
         cyclotomy._check_product_rule_prime_field(_move_one_count(hist), t.core, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_product_table_matches_the_double_sum(p, N):
+    # every entry, not just the canonical column the identity pins down;
+    # odd and even N take different paths through the pairing of u and -u
+    hist = np.random.default_rng(10 * p + N).integers(0, 9, size=(N, p)).astype(np.int32)
+    want = np.zeros((N, p), dtype=np.int64)
+    for k in range(N):
+        for i in range(N):
+            for a in range(p):
+                for b in range(p):
+                    want[k, (a + b) % p] += int(hist[i, a]) * int(hist[(i + k) % N, b])
+    table = cyclotomy._product_table(hist, N, p)
+    assert table.dtype == np.float64
+    assert (table == want).all()
+
+
+@pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720)])
+def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d, N):
+    t = build_tower(p, 1, d)
+    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    theta = cyclotomy._theta_flags(p, t.r, N)
+    assert cyclotomy._check_product_rule_table(hist, t.r, N, p, theta)
+    # from a nonzero column of row 0 to another column that holds counts
+    a = int(np.flatnonzero(hist[0])[0])
+    b = next(c for c in range(p) if c != a and hist[:, c].any())
+    bad = hist.copy()
+    bad[0, a] -= 1
+    bad[0, b] += 1
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_product_rule_table(bad, t.r, N, p, theta)
+
+
+def test_table_product_check_reads_every_column(monkeypatch):
+    # a product table off the identity in a single entry, in column 0 or
+    # in another column, must be caught
+    t = build_tower(7, 1, 4)
+    N, p = 80, 7
+    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    theta = cyclotomy._theta_flags(p, t.r, N)
+    good = cyclotomy._product_table(hist, N, p)
+    for k, c in [(0, 0), (3, 0), (0, 2), (5, 6)]:
+        bad = good.copy()
+        bad[k, c] += 1
+        monkeypatch.setattr(cyclotomy, "_product_table", lambda *args, bad=bad: bad.copy())
+        with pytest.raises(AssertionError, match="period product identity failed"):
+            cyclotomy._check_product_rule_table(hist, t.r, N, p, theta)
+
+
+def test_table_product_check_peak_memory():
+    # the transforms run axis by axis in place, so at most three (N, p)
+    # arrays are alive: the int32 histogram (4 bytes per entry), one complex
+    # half spectrum (about 8) and the float64 result (8)
+    N, p = 3720, 61
+    tower = FieldTower(p, 1, 2, _Core(p, 2))
+    tracemalloc.start()
+    try:
+        ps = cyclotomy.gaussian_periods_exact(tower, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.product_rule_checked and ps.integer_values is None
+    assert peak < 28 * N * p, peak / (N * p)
 
 
 def test_periods_invalid_order():

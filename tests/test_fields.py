@@ -1,6 +1,8 @@
+import gc
 import random
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,25 @@ def test_towers_are_cached():
     b = build_tower(2, 1, 6)
     assert a.core is b.core
     assert a is not b
+
+
+def test_evicted_field_is_freed_without_gc():
+    # towers hold coefficient tuples, not elements that point back at them,
+    # so a field the cache evicts goes by refcount alone
+    fields._field.cache_clear()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tower = build_tower(3, 1, 5)
+        assert tower.subfield_generator == tower.alpha ** tower.subfield_embedding
+        ref = weakref.ref(tower.core)
+        del tower
+        for d in range(2, 10):
+            build_tower(2, 1, d)
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("p,s,m", TOWERS)

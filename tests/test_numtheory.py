@@ -21,8 +21,8 @@ PRIMES_1000 = _sieve(1000)
 
 
 def test_is_prime_against_sieve():
-    primes = set(_sieve(20000))
-    for n in range(20000):
+    primes = set(_sieve(10**5))
+    for n in range(10**5):
         assert nt.is_prime(n) == (n in primes)
 
 
@@ -30,6 +30,41 @@ def test_is_prime_large():
     assert nt.is_prime(2**61 - 1)
     assert not nt.is_prime(2**67 - 1)
     assert nt.is_prime(10**18 + 9)
+    assert nt.is_prime(2**64 + 13)  # the first prime past 2^64
+    assert nt.is_prime(2**127 - 1)
+    assert nt.is_prime(2**521 - 1)
+    assert not nt.is_prime((2**61 - 1) * (2**67 - 1))
+
+
+# strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # a strong pseudoprime to all twelve Miller-Rabin bases up to 37, past 2^64
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441 and n > 2**64
+    assert nt._strong_probable_prime(n, nt._MR_WITNESSES)
+    assert not nt.is_prime(n)
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert nt._strong_lucas_probable_prime(n) and not nt.is_prime(n)
+        assert not nt._strong_probable_prime(n, (2,))
+
+
+def test_baillie_psw_against_sieve():
+    # the test that decides above 2^64, run where a sieve can check it: its
+    # Lucas half passes exactly the listed composites, and with the
+    # base-2 test it passes exactly the primes
+    primes = set(_sieve(10**5))
+    lucas = set()
+    for n in range(5, 10**5, 2):
+        if nt._strong_lucas_probable_prime(n):
+            lucas.add(n)
+        bpsw = nt._strong_probable_prime(n, (2,)) and nt._strong_lucas_probable_prime(n)
+        assert bpsw == (n in primes), n
+    assert lucas - primes == set(STRONG_LUCAS_PSEUDOPRIMES)
 
 
 @given(st.integers(2, 10**9))

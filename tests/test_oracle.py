@@ -113,9 +113,20 @@ def test_oracle_weight_equals_n_minus_zeros():
 def test_enumeration_peak_memory_per_element():
     # one byte of trace per element and a period histogram keyed block by
     # block: the oracle and the periods of a fresh field stay far below the
-    # 17 bytes per element that int64 arrays and an r-length key array take
-    for p, s, m, N in [(11, 1, 6, 35), (2, 2, 10, 33)]:
+    # 17 bytes per element that int64 arrays and an r-length key array take.
+    # For s > 1 the subfield trace-zero mask is ANDed in place, so building
+    # it takes at most two booleans per element.
+    for p, s, m, N in [(11, 1, 6, 35), (2, 2, 10, 33), (2, 10, 2, 25)]:
         spec = weights.code_params(p, s, m, N)
+        tower = FieldTower(p, s, m, _Core(p, s * m))
+        tower.core.trace_by_log()
+        tracemalloc.start()
+        try:
+            tower.traceq_zero_by_log()
+            mask_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask_peak < 2.1 * spec.r, (p, s, m, mask_peak / spec.r)
         tower = FieldTower(p, s, m, _Core(p, s * m))
         tracemalloc.start()
         try:
@@ -124,4 +135,4 @@ def test_enumeration_peak_memory_per_element():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * spec.r, (p, s, m, N, peak / spec.r)
+        assert peak < 3.5 * spec.r, (p, s, m, N, peak / spec.r)
