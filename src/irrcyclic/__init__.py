@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "fields": ("FieldElement", "FieldTower", "build_tower"),
     "numtheory": (
-        "DiophantineRep",
         "class_number",
         "legendre",
         "mult_order",

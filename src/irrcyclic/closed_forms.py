@@ -168,7 +168,8 @@ def periods_order2(p: int, s: int, m: int) -> tuple[int, int]:
     """The two Gaussian periods of order 2 over GF(p^(s*m)), odd p.
 
     eta_0 sums the additive character over the nonzero squares.  Integral
-    only in even total degree; odd degrees raise IrrationalPeriod.
+    only in even total degree; odd degrees raise IrrationalPeriod.  p = -1
+    (mod 2) makes this the semiprimitive case with j = 1 and gamma = d/2.
     """
     if p == 2:
         raise EvenPrime("order-2 periods need odd characteristic")
@@ -177,12 +178,7 @@ def periods_order2(p: int, s: int, m: int) -> tuple[int, int]:
     d = s * m
     if d % 2:
         raise IrrationalPeriod(f"order-2 periods over GF({p}^{d}) are irrational")
-    root = p ** (d // 2)
-    if p % 4 == 3 and (d // 2) % 2 == 1:
-        eta0 = (-1 + root) // 2
-    else:
-        eta0 = (-1 - root) // 2
-    return eta0, -1 - eta0
+    return tuple(semiprimitive_periods(p, 1, d // 2, 2).as_list())
 
 
 def expand_roots(roots) -> tuple[int, ...]:
@@ -236,11 +232,9 @@ def _roots_order3(p: int, d: int) -> tuple[tuple[int, int], ...] | None:
     """The order-3 periods over GF(p^d) as (value, multiplicity) pairs, when
     the degree determines them; the one solve runs at p^(d/3), not at r."""
     if p % 3 == 2:
-        # here d is even, else 3 would not divide r - 1
-        root = p ** (d // 2)
-        if (d // 2) % 2:
-            return ((_exact_div(-1 + 2 * root, 3, "root"), 1), (_exact_div(-1 - root, 3, "root"), 2))
-        return ((_exact_div(-1 - 2 * root, 3, "root"), 1), (_exact_div(-1 + root, 3, "root"), 2))
+        # p = -1 (mod 3), and d is even, else 3 would not divide r - 1
+        special, _, common = semiprimitive_periods(p, 1, d // 2, 3)
+        return ((special, 1), (common, 2))
     if d % 3 == 0:
         cube = p ** (d // 3)
         c1, d1 = numtheory.solve_c27d(cube, p)
@@ -258,11 +252,9 @@ def _roots_order4(p: int, d: int) -> tuple[tuple[int, int], ...] | None:
     """The order-4 periods over GF(p^d) as (value, multiplicity) pairs, when
     the degree determines them; the one solve runs at p^(d/2), not at r."""
     if p % 4 == 3:
-        # 4 | r - 1 forces even degree here
-        root = p ** (d // 2)
-        if (d // 2) % 2:
-            return ((_exact_div(-1 + 3 * root, 4, "root"), 1), (_exact_div(-1 - root, 4, "root"), 3))
-        return ((_exact_div(-1 - 3 * root, 4, "root"), 1), (_exact_div(-1 + root, 4, "root"), 3))
+        # p = -1 (mod 4), and 4 | r - 1 forces even degree here
+        special, _, common = semiprimitive_periods(p, 1, d // 2, 4)
+        return ((special, 1), (common, 3))
     if d % 4 == 0:
         half = p ** (d // 2)
         quarter = p ** (d // 4)
@@ -327,11 +319,13 @@ def period_poly_order4(p: int, s: int, m: int) -> PeriodPolynomial:
 # semiprimitive family
 
 
-def _require_semiprimitive(p: int, j: int, N: int) -> None:
-    if N < 3:
-        raise NotSemiprimitive("orders below 3 are handled by dedicated forms")
-    if pow(p, j, N) != N - 1:
+def _semiprimitive(p: int, j: int, gamma: int, N: int) -> tuple[int, bool]:
+    """(sqrt(r), alternating) over GF(p^(2*j*gamma)), after checking that
+    p^j = -1 (mod N).  The Gauss sums alternate in sign when p, gamma and
+    (p^j + 1)/N are all odd, which makes N even."""
+    if N < 1 or pow(p, j, N) != N - 1:
         raise NotSemiprimitive(f"{p}^{j} is not -1 mod {N}")
+    return p ** (j * gamma), p % 2 == 1 and gamma % 2 == 1 and ((p**j + 1) // N) % 2 == 1
 
 
 def semiprimitive_gauss_sums(p: int, j: int, gamma: int, N: int) -> list[int]:
@@ -340,9 +334,7 @@ def semiprimitive_gauss_sums(p: int, j: int, gamma: int, N: int) -> list[int]:
     psi is an order-N character; with p^j = -1 (mod N) every such Gauss sum
     is +-sqrt(r).
     """
-    _require_semiprimitive(p, j, N)
-    root = p ** (j * gamma)
-    alternating = N % 2 == 0 and p % 2 == 1 and gamma % 2 == 1 and ((p**j + 1) // N) % 2 == 1
+    root, alternating = _semiprimitive(p, j, gamma, N)
     if alternating:
         return [(-1) ** i * root for i in range(1, N)]
     return [(-1) ** (gamma - 1) * root] * (N - 1)
@@ -370,11 +362,11 @@ class SemiprimitivePeriods:
 
 
 def semiprimitive_periods(p: int, j: int, gamma: int, N: int) -> SemiprimitivePeriods:
-    _require_semiprimitive(p, j, N)
-    root = p ** (j * gamma)
-    alternating = p % 2 == 1 and gamma % 2 == 1 and ((p**j + 1) // N) % 2 == 1
+    """The order-N periods over GF(p^(2*j*gamma)) for any N >= 1 with
+    p^j = -1 (mod N): the one evaluation of the semiprimitive formula.  N = 2
+    is thm18, and N = 1 gives the single period -1."""
+    root, alternating = _semiprimitive(p, j, gamma, N)
     if alternating:
-        # N is even here since p^j + 1 is even
         special = _exact_div((N - 1) * root - 1, N, "special period")
         common = _exact_div(-(root + 1), N, "common period")
         return SemiprimitivePeriods(N, N // 2, special, common)
@@ -498,6 +490,13 @@ def index2_periods(params: IndexTwoParams) -> list[int]:
 # cyclic codes" (arXiv:1108.3887); a rule returns None when it does not apply
 
 
+def _semiprimitive_runs(p: int, j: int, gamma: int, N: int):
+    special, index, common = semiprimitive_periods(p, j, gamma, N)
+    # runs in class order, at most three however large N is
+    runs = [(common, index), (special, 1), (common, N - 1 - index)]
+    return [run for run in runs if run[1]]
+
+
 def _thm24(p: int, d: int, N: int):
     # N divides p^d - 1, so ord_N(p) divides d: no need to factor N
     j = numtheory.semiprimitive_j(p, N, divisor_of=d) if N >= 3 else None
@@ -506,10 +505,7 @@ def _thm24(p: int, d: int, N: int):
     # p^j = -1 (mod N) makes ord_N(p) = 2j, and ord_N(p) divides d
     if d % (2 * j):
         raise AssertionError("the class order 2j must divide the extension degree")
-    special, index, common = semiprimitive_periods(p, j, d // (2 * j), N)
-    # runs in class order, at most three however large N is
-    runs = [(common, index), (special, 1), (common, N - 1 - index)]
-    return [run for run in runs if run[1]]
+    return _semiprimitive_runs(p, j, d // (2 * j), N)
 
 
 def _thm22(p: int, d: int, N: int):
@@ -535,7 +531,8 @@ def _checked_roots(p: int, d: int, N: int, roots):
 
 _RULES = (
     ("thm16", lambda p, d, N: [(-1, 1)] if N == 1 else None),
-    ("thm18", lambda p, d, N: [(eta, 1) for eta in periods_order2(p, 1, d)]
+    # p = -1 (mod 2): the semiprimitive case with j = 1
+    ("thm18", lambda p, d, N: _semiprimitive_runs(p, 1, d // 2, 2)
         if N == 2 and d % 2 == 0 else None),
     ("thm24", _thm24),
     ("thm19", lambda p, d, N: _checked_roots(p, d, N, _roots_order3(p, d))

@@ -291,12 +291,11 @@ def _check_product_rule_prime_field(hist: np.ndarray, core, N: int) -> bool:
     b = u*a turns sum_i eta_i*eta_{i+k} into sum over u in C_k of
     sum_{a != 0} zeta^{a(1+u)}, which is p - 1 when u = -1 and -1 otherwise,
     i.e. exactly r*theta_k - n with theta placed at dlog(-1) mod N."""
-    p = core.p
     if not (hist.sum(axis=0)[1:] == 1).all() or hist[:, 0].any():
         raise AssertionError("prime-field trace histogram must be a class indicator")
-    log = core.log_table()
-    cols = np.arange(1, p, dtype=np.int64)
-    if not (hist[log[cols] % N, cols] == 1).all():
+    # the trace sequence is t[k] = alpha^k, so dlog(t[k]) = k: no log table
+    tr = core.trace_by_log()
+    if not (hist[np.arange(len(tr)) % N, tr] == 1).all():
         raise AssertionError("prime-field trace histogram must follow the class index")
     return True
 
@@ -305,18 +304,24 @@ def _class_trace_histogram(tr: np.ndarray, N: int, p: int) -> np.ndarray:
     """hist[c, v] = #{k : k = c (mod N), tr[k] = v}, as an int32 (N, p) matrix:
     a count is at most r <= TOWER_CAP, so int32 holds it.
 
-    Row k // N, column k % N of tr.reshape(-1, N) is keyed tr[k] + p * (k mod N)
-    one block of rows at a time, so no r-length key array exists.  A block
-    holds at least N * p elements, which bounds the bincount calls' total
-    cost by a small multiple of r + N * p.
+    Column c of tr.reshape(-1, N) holds class c.  Blocks of SCRATCH_BLOCK / p
+    columns are counted in turn, keyed tr[k] + p * (class less the block's
+    first), a block of rows at a time: neither the int64 keys nor the int64
+    bincount output outgrow a block, and the calls' total cost stays a small
+    multiple of r + N * p.
     """
     rows = tr.reshape(-1, N)
-    step = max(SCRATCH_BLOCK, N * p) // N
-    offsets = p * np.arange(N, dtype=np.int64)
+    width = max(1, SCRATCH_BLOCK // p)
     hist = np.zeros(N * p, dtype=np.int32)
-    for lo in range(0, len(rows), step):
-        # offsets are int64, so the narrow trace values are upcast here
-        hist += np.bincount((rows[lo : lo + step] + offsets).ravel(), minlength=N * p)
+    for c in range(0, N, width):
+        cols = rows[:, c : c + width]
+        w = cols.shape[1]
+        step = max(SCRATCH_BLOCK, w * p) // w
+        offsets = p * np.arange(w, dtype=np.int64)
+        out = hist[c * p : (c + w) * p]
+        for lo in range(0, len(rows), step):
+            # offsets are int64, so the narrow trace values are upcast here
+            out += np.bincount((cols[lo : lo + step] + offsets).ravel(), minlength=w * p)
     return hist.reshape(N, p)
 
 

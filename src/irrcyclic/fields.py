@@ -456,11 +456,6 @@ class FieldTower:
         self.degree = s * m
         self.core = core
         self.subfield_embedding = (self.r - 1) // (self.q - 1)
-        # coefficient tuples, not elements: an element points back at its
-        # tower, and that cycle would outlive the field cache's eviction
-        self._subfield_generator = _ppow(
-            core.alpha_coeffs, self.subfield_embedding, core.modulus, p
-        )
         self._traceq_zero: np.ndarray | None = None
 
     @property
@@ -470,8 +465,11 @@ class FieldTower:
 
     @property
     def subfield_generator(self) -> FieldElement:
-        """g = alpha^((r-1)/(q-1)): its powers give a GF(p)-basis of GF(q)."""
-        return FieldElement(self, self._subfield_generator)
+        """g = alpha^((r-1)/(q-1)): its powers give a GF(p)-basis of GF(q).
+
+        Built on each read and never stored: an element points back at its
+        tower, and that cycle would outlive the field cache's eviction."""
+        return self.alpha**self.subfield_embedding
 
     # -- constructors
 

@@ -2,13 +2,14 @@
 
 Everything here is exact integer arithmetic.  The diophantine solvers return
 the canonical representative demanded by the formulas that consume them
-(sign congruences pin the solution down uniquely).
+(sign congruences pin the solution down uniquely), as a plain (x, y) tuple;
+all three filter one scan of x^2 + D*y^2 = M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BadDiscriminant, NoRepresentation, NotCoprime, NotPrime
 
@@ -282,86 +283,59 @@ def class_number(l: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class DiophantineRep:
-    """A point on one of the quadratic diophantine curves used here.
-
-    note records which sign ambiguity was fixed and how.
-    """
-
-    kind: str
-    first: int
-    second: int
-    note: str = ""
-
-    def __iter__(self):
-        return iter((self.first, self.second))
+def _norm_form_points(D: int, M: int, y: int) -> Iterator[tuple[int, int]]:
+    """Every (x, y) with x^2 + D*y^2 = M from the given y up: y ascending,
+    +x before -x, and x = 0 once.  The one O(sqrt(M/D)) scan behind the three
+    solvers below, each of which filters it by its own admissibility rule."""
+    while D * y * y <= M:
+        rest = M - D * y * y
+        x = math.isqrt(rest)
+        if x * x == rest:
+            yield x, y
+            if x:
+                yield -x, y
+        y += 1
 
 
-def solve_c27d(m: int, p: int) -> DiophantineRep:
+def solve_c27d(m: int, p: int) -> tuple[int, int]:
     """The unique (c, d) with 4m = c^2 + 27 d^2, c = 1 (mod 3), d >= 0.
 
     When p = 1 (mod 3) the solution with gcd(c, p) = 1 is selected.
     """
-    target = 4 * m
-    hits = []
-    d = 0
-    while 27 * d * d <= target:
-        rest = target - 27 * d * d
-        c = math.isqrt(rest)
-        if c * c == rest:
-            for cc in {c, -c}:
-                if cc % 3 == 1:
-                    if p % 3 == 1 and math.gcd(cc, p) != 1:
-                        continue
-                    hits.append((cc, d))
-        d += 1
+    hits = [
+        (c, d) for c, d in _norm_form_points(27, 4 * m, 0)
+        if c % 3 == 1 and (p % 3 != 1 or math.gcd(c, p) == 1)
+    ]
     if len(hits) != 1:
         raise NoRepresentation(f"4*{m} = c^2 + 27 d^2 has {len(hits)} admissible solutions")
-    c, d = hits[0]
-    return DiophantineRep("c27d", c, d, "d >= 0")
+    return hits[0]
 
 
-def solve_u4v(m: int, p: int) -> DiophantineRep:
+def solve_u4v(m: int, p: int) -> tuple[int, int]:
     """The unique (u, v) with m = u^2 + 4 v^2, u = 1 (mod 4), v >= 0.
 
     When p = 1 (mod 4) the solution with gcd(u, p) = 1 is selected.
     """
-    hits = []
-    v = 0
-    while 4 * v * v <= m:
-        rest = m - 4 * v * v
-        u = math.isqrt(rest)
-        if u * u == rest:
-            for uu in {u, -u}:
-                if uu % 4 == 1:
-                    if p % 4 == 1 and math.gcd(uu, p) != 1:
-                        continue
-                    hits.append((uu, v))
-        v += 1
+    hits = [
+        (u, v) for u, v in _norm_form_points(4, m, 0)
+        if u % 4 == 1 and (p % 4 != 1 or math.gcd(u, p) == 1)
+    ]
     if len(hits) != 1:
         raise NoRepresentation(f"{m} = u^2 + 4 v^2 has {len(hits)} admissible solutions")
-    u, v = hits[0]
-    return DiophantineRep("u4v", u, v, "v >= 0")
+    return hits[0]
 
 
-def solve_alb(p: int, l: int, h: int) -> DiophantineRep:
+def solve_alb(p: int, l: int, h: int) -> tuple[int, int]:
     """(a, b) with a^2 + l b^2 = 4 p^h, a = -2 p^((l-1+2h)/4) (mod l), b > 0.
 
     The congruence fixes the sign of a; h is the class number of -l, which is
     odd for the primes l = 3 (mod 4) handled here, making the exponent integral.
+    The first admissible solution, by ascending b, is returned.
     """
     if (l - 1 + 2 * h) % 4 != 0:
         raise NoRepresentation(f"(l-1+2h)/4 is not an integer for l={l}, h={h}")
     need = (-2 * pow(p, (l - 1 + 2 * h) // 4, l)) % l
-    target = 4 * p**h
-    b = 1
-    while l * b * b <= target:
-        rest = target - l * b * b
-        a = math.isqrt(rest)
-        if a * a == rest:
-            for aa in (a, -a):
-                if aa % l == need:
-                    return DiophantineRep("alb", aa, b, "a pinned mod l, b > 0")
-        b += 1
+    for a, b in _norm_form_points(l, 4 * p**h, 1):
+        if a % l == need:
+            return a, b
     raise NoRepresentation(f"a^2 + {l} b^2 = 4*{p}^{h} has no admissible solution")

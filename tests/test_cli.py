@@ -142,6 +142,35 @@ def test_periods_irrational_prints_symbolic(capsys):
     assert "integral=" not in out
 
 
+@pytest.mark.parametrize("p,m,N,poly", [
+    (13, 1, 4, "X^4 + X^3 + 2X^2 - 4X + 3"),
+    (7, 1, 3, "X^3 + X^2 - 2X - 1"),
+])
+def test_periods_irrational_prints_polynomial(capsys, p, m, N, poly):
+    # irrational periods come from the enumeration; the polynomial is the
+    # closed form's, computed over r
+    rc, out = run(capsys, "periods", "--p", str(p), "--s", "1", "--m", str(m), "--N", str(N))
+    assert rc == 0
+    lines = out.splitlines()
+    assert all(line.startswith(f"eta_{i} = RootOfUnitySum") for i, line in enumerate(lines[:N]))
+    assert lines[N:] == [f"polynomial: {poly}"]
+
+
+def test_periods_roots_only_prints_unassigned_roots(capsys):
+    rc, out = run(capsys, "periods", "--p", "7", "--s", "1", "--m", "3", "--N", "3")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "polynomial: X^3 + X^2 - 114X + 216"
+    assert lines[1] == "roots: {-12, 2, 9} (class assignment not determined)"
+
+
+def test_periods_closed_miss_exits_3(capsys):
+    rc, out = run(capsys, "periods", "--p", "3", "--s", "1", "--m", "4", "--N", "8",
+                  "--method", "closed")
+    assert rc == 3
+    assert out.startswith("unsupported: Unsupported:")
+
+
 def test_table1_text(capsys):
     rc, out = run(capsys, "table1")
     assert rc == 0

@@ -140,6 +140,21 @@ def test_period_poly_order4(args, want):
         assert poly.evaluate(value) == 0
 
 
+@pytest.mark.parametrize("args,coeffs", [
+    ((13, 1, 1), (3, -4, 2, 1, 1)),
+    ((29, 1, 1), (23, 20, 4, 1, 1)),
+    ((5, 1, 3), (271, -164, 16, 1, 1)),
+])
+def test_period_poly_order4_odd_quarter(args, coeffs):
+    # (r - 1)/4 odd: the other coefficient set, here with irrational periods
+    p, s, m = args
+    assert ((p ** (s * m) - 1) // 4) % 2 == 1
+    poly = cf.period_poly_order4(*args)
+    assert poly.coeffs == coeffs and poly.roots is None
+    numeric = cyclotomy.gaussian_periods_exact(build_tower(*args), 4).numeric()
+    assert np.allclose(np.poly(numeric)[::-1], coeffs)
+
+
 def test_period_poly_matches_brute_periods():
     for (p, s, m), _ in sorted(ORDER3_CASES.items()):
         t = build_tower(p, s, m)
@@ -194,6 +209,38 @@ def test_semiprimitive_periods_examples():
     special, idx, common = cf.semiprimitive_periods(2, 1, 3, 3)
     assert (special, idx, common) == (5, 0, -3)
     assert cf.semiprimitive_periods(3, 1, 1, 4).as_list() == [-1, -1, 2, -1]
+
+
+def test_semiprimitive_orders_one_and_two():
+    # the formula holds below N = 3: N = 1 is the single period -1, and
+    # N = 2 is the quadratic Gauss sum (thm18)
+    for p in (3, 5, 7, 11, 13, 101, 103):
+        for g in (1, 2, 3, 4):
+            assert cf.semiprimitive_periods(p, 1, g, 1).as_list() == [-1]
+            assert cf.semiprimitive_gauss_sums(p, 1, g, 1) == []
+            assert cf.semiprimitive_gauss_sums(p, 1, g, 2) == \
+                [cf.quadratic_gauss_sum(p, 2 * g).as_integer()]
+            assert tuple(cf.semiprimitive_periods(p, 1, g, 2).as_list()) == \
+                cf.periods_order2(p, 1, 2 * g)
+    with pytest.raises(NotSemiprimitive):
+        cf.semiprimitive_periods(2, 1, 1, 2)
+
+
+def test_semiprimitive_periods_keep_the_dedicated_formulas():
+    # reference: the dedicated formulas for thm18 and for the period roots
+    # when p = -1 (mod 3) or (mod 4), each a semiprimitive case with j = 1
+    for p in (p for p in range(3, 108) if numtheory.is_prime(p)):
+        for d in range(2, 41, 2):
+            root, odd = p ** (d // 2), (d // 2) % 2
+            eta0 = (-1 + root) // 2 if p % 4 == 3 and odd else (-1 - root) // 2
+            assert cf.periods_order2(p, 1, d) == (eta0, -1 - eta0)
+            sign = 1 if odd else -1
+            if p % 3 == 2:
+                assert cf._roots_order3(p, d) == (
+                    ((-1 + sign * 2 * root) // 3, 1), ((-1 - sign * root) // 3, 2))
+            if p % 4 == 3:
+                assert cf._roots_order4(p, d) == (
+                    ((-1 + sign * 3 * root) // 4, 1), ((-1 - sign * root) // 4, 3))
 
 
 def test_semiprimitive_periods_match_brute():

@@ -232,6 +232,49 @@ def test_product_checks_catch_a_moved_count():
         cyclotomy._check_product_rule_prime_field(_move_one_count(hist), t.core, 2)
 
 
+def test_prime_field_check_catches_a_count_moved_between_classes():
+    # column sums unchanged, so the histogram is still an indicator, but
+    # one element now sits in the wrong class
+    t = build_tower(13, 1, 1)
+    hist = _trace_histogram(t, 4)
+    c = int(np.flatnonzero(hist[0])[0])
+    bad = hist.copy()
+    bad[0, c], bad[1, c] = 0, 1
+    assert (bad.sum(axis=0) == hist.sum(axis=0)).all()
+    assert cyclotomy._check_product_rule_prime_field(hist, t.core, 4)
+    with pytest.raises(AssertionError, match="must follow the class index"):
+        cyclotomy._check_product_rule_prime_field(bad, t.core, 4)
+
+
+@pytest.mark.parametrize("block", [16, 64, 1 << 16])
+@pytest.mark.parametrize("p,d,N", [(7, 4, 80), (13, 2, 12), (3, 7, 2186), (61, 2, 3720)])
+def test_class_trace_histogram_blocks(monkeypatch, p, d, N, block):
+    # blocks of classes and of rows, however small, add up to one bincount
+    # over the whole trace sequence
+    tr = build_tower(p, 1, d).core.trace_by_log()
+    want = np.bincount(
+        tr.astype(np.int64) + p * (np.arange(len(tr)) % N), minlength=N * p
+    ).reshape(N, p)
+    monkeypatch.setattr(cyclotomy, "SCRATCH_BLOCK", block)
+    got = cyclotomy._class_trace_histogram(tr, N, p)
+    assert got.dtype == np.int32 and (got == want).all()
+
+
+def test_period_histogram_peak_memory():
+    # the histogram is counted a block of classes at a time, so no int64
+    # (N, p) array is ever alive beside the int32 matrix
+    N, p = 2002, 2003
+    tower = FieldTower(p, 1, 1, _Core(p, 1))
+    tracemalloc.start()
+    try:
+        ps = cyclotomy.gaussian_periods_exact(tower, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.product_rule_checked
+    assert peak < 1.25 * ps.counts.nbytes, peak / ps.counts.nbytes
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_product_table_matches_the_double_sum(p, N):

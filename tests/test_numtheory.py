@@ -83,6 +83,12 @@ def test_factorize_known():
     assert nt.factorize(3**10) == {3: 10}
 
 
+def test_factorize_past_trial_division():
+    # both factors lie past the trial-division bound, so Pollard rho splits them
+    assert nt.factorize((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
+    assert nt.factorize((2**31 - 1) ** 2) == {2**31 - 1: 2}
+
+
 def test_iroot_and_prime_power():
     for n in range(1, 3000):
         for e in range(1, 12):
@@ -259,11 +265,24 @@ def test_solve_alb_equation():
         assert a % l == (-2 * pow(p, (l - 1 + 2 * h) // 4, l)) % l
 
 
-def test_diophantine_rep_unpacks():
-    rep = nt.solve_c27d(7, 7)
-    c, d = rep
-    assert (c, d) == (rep.first, rep.second)
-    assert rep.note
+def test_norm_form_scan():
+    # y ascending from the start, +x before -x, and x = 0 once
+    tail = [(4, 3), (-4, 3), (3, 4), (-3, 4), (0, 5)]
+    assert list(nt._norm_form_points(1, 25, 0)) == [(5, 0), (-5, 0), *tail]
+    assert list(nt._norm_form_points(1, 25, 1)) == tail
+    assert list(nt._norm_form_points(27, 28, 0)) == [(1, 1), (-1, 1)]
+    assert list(nt._norm_form_points(7, 3, 0)) == []
+    for D, M in ((1, 5**6), (4, 13**4), (27, 4 * 7**4), (23, 4 * 2**3)):
+        top = math.isqrt(M)
+        points = [(x, y) for y in range(top + 1) for x in range(-top, top + 1)
+                  if x * x + D * y * y == M]
+        want = sorted(points, key=lambda xy: (xy[1], -xy[0]))
+        assert list(nt._norm_form_points(D, M, 0)) == want
+
+
+def test_solvers_return_plain_tuples():
+    for got in (nt.solve_c27d(7, 7), nt.solve_u4v(25, 5), nt.solve_alb(2, 7, 1)):
+        assert type(got) is tuple and len(got) == 2
 
 
 def test_not_prime_errors():
