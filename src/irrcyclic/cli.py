@@ -6,8 +6,8 @@ subcommands; values a command did not compute are null.  Weight and count
 values inside the record are decimal strings so that results beyond 64 bits
 survive any JSON reader.
 
-Only `verify` and the enumeration branch of `periods` import the numpy-backed
-field layer; a closed-form `dist`, `bounds` or `periods` never loads numpy.
+Only the enumerations of `verify`, `dist` and `periods` load numpy, after their
+size gates; a closed form or a size refusal never does.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class RunReport:
     table: tuple[dict, ...] | None = None
     elapsed_ms: float | None = None
 
-    def to_json(self) -> str:
+    def record(self) -> dict:
+        """The JSON record, each field in its schema form."""
         rec = dataclasses.asdict(self)
         if self.weights is not None:
             rec["weights"] = [
@@ -60,7 +61,10 @@ class RunReport:
             rec["periods"] = list(self.periods)
         if self.table is not None:
             rec["table"] = [dict(row) for row in self.table]
-        return json.dumps(rec)
+        return rec
+
+    def to_json(self) -> str:
+        return json.dumps(self.record())
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -96,7 +100,9 @@ def _check_dict(check: weights.PeriodCheck) -> dict:
 def _finish(rep: RunReport, t0: float, fmt: str, lines: list[str]) -> None:
     rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     if fmt == "json":
-        print(rep.to_json())
+        # written as it is encoded: a long periods list is never held twice
+        json.dump(rep.record(), sys.stdout)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)
@@ -134,7 +140,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import cyclotomy, fields, oracle
+    from . import oracle
 
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
@@ -142,8 +148,7 @@ def cmd_verify(args) -> int:
     rep.divisor = weights.divisibility(spec)
     rep.bounds = weights.bounds(spec)
     reference = oracle.brute_weight_distribution(spec, budget=args.budget)
-    tower = fields.build_tower(spec.p, spec.s, spec.m)
-    pset = cyclotomy.gaussian_periods_exact(tower, spec.N1, budget=args.budget)
+    pset = weights.enumerated_periods(spec, spec.N1, budget=args.budget)
     check = weights.check_period_properties(spec, pset)
     rep.thm14 = _check_dict(check)
     check_line = (
@@ -212,13 +217,9 @@ def cmd_periods(args) -> int:
     elif args.method == "closed":
         raise errors.Unsupported(f"no closed form for periods of order {N} over GF({spec.r})")
     else:
-        # refuse an oversize field before the enumeration layer loads numpy
-        errors.require_tower_size(p, d)
-        errors.require_enum_size("period enumeration", spec.r, args.budget)
-        from . import cyclotomy, fields
+        pset = weights.enumerated_periods(spec, N, budget=args.budget)
+        from . import cyclotomy
 
-        tower = fields.build_tower(args.p, args.s, args.m)
-        pset = cyclotomy.gaussian_periods_exact(tower, N, budget=args.budget)
         rep.method = "brute"
         values = pset.integer_values
         if values is None:

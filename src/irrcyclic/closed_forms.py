@@ -16,11 +16,9 @@ from . import numtheory
 from .errors import (
     EvenPrime,
     IrrationalPeriod,
-    NotADivisor,
-    NotDivisible,
     NotIndexTwo,
-    NotPrime,
     NotSemiprimitive,
+    require_divisor,
 )
 
 
@@ -149,15 +147,12 @@ def quadratic_gauss_sum(p: int, s: int) -> QuadraticValue:
     """
     if p == 2:
         raise EvenPrime("the quadratic character needs odd characteristic")
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     sign = (-1) ** (s - 1)
     if p % 4 == 3:
-        # the extra factor is (sqrt(-1))**s
-        if s % 2 == 0:
-            sign *= (-1) ** (s // 2)
-        else:
-            sign *= (-1) ** ((s - 1) // 2)
+        # the extra factor is (sqrt(-1))**s: (-1)**(s // 2), times sqrt(-1)
+        # when s is odd, which the sqrt(-p) below carries
+        sign *= (-1) ** (s // 2)
     if s % 2 == 0:
         return QuadraticValue.from_integer(sign * p ** (s // 2), p)
     root = p if p % 4 == 1 else -p
@@ -173,8 +168,7 @@ def periods_order2(p: int, s: int, m: int) -> tuple[int, int]:
     """
     if p == 2:
         raise EvenPrime("order-2 periods need odd characteristic")
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     d = s * m
     if d % 2:
         raise IrrationalPeriod(f"order-2 periods over GF({p}^{d}) are irrational")
@@ -270,12 +264,10 @@ def _roots_order4(p: int, d: int) -> tuple[tuple[int, int], ...] | None:
 
 def period_poly_order3(p: int, s: int, m: int) -> PeriodPolynomial:
     """Period polynomial of order 3, with roots when the degree allows them."""
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     d = s * m
     r = p**d
-    if (r - 1) % 3:
-        raise NotDivisible(f"3 does not divide r - 1 = {r - 1}")
+    require_divisor(3, r)
     c, dd = numtheory.solve_c27d(r, p)
     coeffs = (
         -_exact_div((c + 3) * r - 1, 27, "constant term"),
@@ -288,12 +280,10 @@ def period_poly_order3(p: int, s: int, m: int) -> PeriodPolynomial:
 
 def period_poly_order4(p: int, s: int, m: int) -> PeriodPolynomial:
     """Period polynomial of order 4, with roots when the degree allows them."""
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     d = s * m
     r = p**d
-    if (r - 1) % 4:
-        raise NotDivisible(f"4 does not divide r - 1 = {r - 1}")
+    require_divisor(4, r)
     u, v = numtheory.solve_u4v(r, p)
     n = (r - 1) // 4
     if n % 2 == 0:
@@ -439,10 +429,8 @@ def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
     s is the ratio (total degree) / f where f = phi(l^lam) / 2 is the degree
     attached to the full order l^lam; the caller checks that ratio is integral.
     """
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if not numtheory.is_prime(l):
-        raise NotPrime(f"{l} is not prime")
+    numtheory.require_prime(p)
+    numtheory.require_prime(l)
     if l % 4 != 3 or l == 3:
         raise NotIndexTwo(f"l = {l} is not 3 (mod 4) above 3")
     if lam < 1 or s < 1:
@@ -558,8 +546,7 @@ def closed_periods(p: int, d: int, N: int) -> tuple[str, list[tuple[int, int]]] 
     polynomial with their multiplicities, in no class order.  Weights ask at
     order N1, `irrcyclic periods` at order N.
     """
-    if N < 1 or (p**d - 1) % N:
-        raise NotADivisor(f"N = {N} does not divide p^d - 1 = {p**d - 1}")
+    require_divisor(N, p**d)
     for tag, rule in _RULES:
         periods = rule(p, d, N)
         if periods is not None:

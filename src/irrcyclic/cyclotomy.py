@@ -14,14 +14,14 @@ or shifted sum over them is taken in int64 or as Python ints.
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
 is -1 (always, exactly), and the shifted product sum equals r*theta_k - n.
-The product identity is checked exactly: via integer FFTs when all periods
-are integers, via a 2D convolution of the histogram when they are not (a
-real FFT, so only the half spectrum over the root-of-unity axis is formed,
-transformed axis by axis in place; the cap covers every extension field up
-to 2^12), and via a structural argument
-over prime fields, where the histogram is forced to be a class indicator and
-the identity follows by a change of variable.  The checked flag records
-whether any of these ran.
+The product identity is checked exactly: for integer periods, k = 0 first in
+integers, which bounds every shifted sum by r <= TOWER_CAP so that one float
+FFT correlation gives the rest exactly; otherwise via a 2D convolution of the
+histogram (a real FFT, so only the half spectrum over the root-of-unity axis
+is formed, transformed axis by axis in place; the cap covers every extension
+field up to 2^12), and via a structural argument over prime fields, where the
+histogram is forced to be a class indicator and the identity follows by a
+change of variable.  The checked flag records whether any of these ran.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import numpy as np
 from .errors import (
     DEFAULT_ENUM_BUDGET,
     TOWER_CAP,
-    EvenCharacteristic,
-    NotADivisor,
+    EvenPrime,
     SizeBudgetExceeded,
+    require_divisor,
     require_enum_size,
 )
 from .fields import SCRATCH_BLOCK, FieldElement, FieldTower
@@ -208,32 +208,17 @@ def _check_sum_rule(p: int, tr_hist: np.ndarray) -> None:
         raise AssertionError("period sum identity failed")
 
 
-def _int_autocorrelation(a: np.ndarray) -> np.ndarray | None:
-    """Exact circular autocorrelation of an integer vector, or None if the
-    float path cannot guarantee exact rounding."""
-    n = len(a)
-    # int64 first: np.dot of an int32 count vector wraps
-    a = a.astype(np.int64)
-    if np.abs(a).max(initial=0) < (1 << 19):
-        bound = int(np.dot(a, a))
-    else:
-        bound = sum(int(x) * int(x) for x in a)
-    if bound * (math.log2(n or 1) + 4) >= 2**50:
-        return None
-    f = np.fft.rfft(a.astype(np.float64))
-    corr = np.fft.irfft(f * f.conj(), n)
-    return np.rint(corr).astype(np.int64)
-
-
 def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarray) -> bool:
-    n = (r - 1) // N
-    corr = _int_autocorrelation(values)
-    if corr is None:
-        corr = np.array(
-            [sum(int(values[i]) * int(values[(i + k) % N]) for i in range(N)) for k in range(N)],
-            dtype=object,
-        )
-    target = r * theta - n
+    """sum_i eta_i * eta_{i+k} = r*theta_k - n for every k.  k = 0 comes first,
+    in integers (max eta^2 <= r, so the int64 dot product cannot wrap); it
+    bounds every correlation by r, so the float FFT one rounds exactly."""
+    target = r * theta - (r - 1) // N
+    # int64 first: np.dot of an int32 count vector wraps
+    a = values.astype(np.int64)
+    if int(np.abs(a).max()) ** 2 > r or int(np.dot(a, a)) != target[0]:
+        raise AssertionError("period product identity failed")
+    f = np.fft.rfft(a.astype(np.float64))
+    corr = np.rint(np.fft.irfft(f * f.conj(), N))
     if not (corr == target).all():
         raise AssertionError("period product identity failed")
     return True
@@ -334,8 +319,7 @@ def gaussian_periods_exact(
     (N, p) count matrix is refused past TOWER_CAP entries, like a field.
     """
     r, p = tower.r, tower.p
-    if N < 1 or (r - 1) % N:
-        raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
+    require_divisor(N, r)
     require_enum_size("period enumeration", r, budget)
     if N * p > TOWER_CAP:
         raise SizeBudgetExceeded(
@@ -385,8 +369,7 @@ def cyclotomic_numbers(
     tower: FieldTower, N: int, *, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CyclotomicTable:
     r, p = tower.r, tower.p
-    if N < 1 or (r - 1) % N:
-        raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
+    require_divisor(N, r)
     require_enum_size("cyclotomic table", r, budget)
     core = tower.core
     slog = core.succ_log()
@@ -407,8 +390,7 @@ def cyclotomic_numbers(
 def cyclotomic_class(tower: FieldTower, N: int, i: int) -> Iterator[FieldElement]:
     """The coset alpha^i * <alpha^N>, lazily, as (r-1)/N field elements."""
     r = tower.r
-    if N < 1 or (r - 1) % N:
-        raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
+    require_divisor(N, r)
     step = tower.alpha**N
     x = tower.alpha ** (i % (r - 1))
     for _ in range((r - 1) // N):
@@ -425,8 +407,7 @@ def gauss_sum_numeric(
     is the canonical one through the absolute trace.
     """
     r, p = tower.r, tower.p
-    if N < 1 or (r - 1) % N:
-        raise NotADivisor(f"{N} does not divide r - 1 = {r - 1}")
+    require_divisor(N, r)
     require_enum_size("Gauss sum", r, budget)
     tr = tower.core.trace_by_log()
     k = np.arange(r - 1, dtype=np.int64)
@@ -446,7 +427,7 @@ def quadratic_char_sum(
     sum over c in GF(r) of zeta_p^Tr(a2 c^2 + a1 c + a0), with a2 nonzero."""
     r, p = tower.r, tower.p
     if p == 2:
-        raise EvenCharacteristic("quadratic character sums need odd characteristic")
+        raise EvenPrime("quadratic character sums need odd characteristic")
     if a2.is_zero:
         raise ValueError("leading coefficient must be nonzero")
     require_enum_size("character sum", r, budget)

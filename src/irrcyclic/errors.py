@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the size limits.
+"""Exception types shared across the package, the size limits, and the gates.
 
-The limits live here, away from the numpy-backed field layer, so that the
-closed-form paths can refuse an oversize enumeration without loading it.
+The limits and gates live here, away from the numpy-backed field layer, so
+the closed-form paths refuse an oversize enumeration without loading it.
 DEFAULT_ENUM_BUDGET is the default of the one size knob, `--budget`;
 TOWER_CAP is a fixed bound on the fields a tower is ever built for.
 """
@@ -26,16 +26,8 @@ class NotADivisor(Error):
     """A parameter that must divide another does not."""
 
 
-class NotDivisible(Error):
-    """A derived quantity fails a required divisibility condition."""
-
-
 class EvenPrime(Error):
     """The characteristic must be odd for this operation."""
-
-
-class EvenCharacteristic(Error):
-    """Quadratic character machinery is undefined in characteristic two."""
 
 
 class ZeroHasNoLog(Error):
@@ -76,6 +68,12 @@ class OrderNotPrimePower(Error):
 
 class Unsupported(Error):
     """No closed form applies and exhaustive search is out of budget."""
+
+
+def require_divisor(N: int, r: int) -> None:
+    """Refuse a code or period order N unless N divides r - 1."""
+    if N < 1 or (r - 1) % N:
+        raise NotADivisor(f"N = {N} does not divide r - 1 = {r - 1}")
 
 
 def require_tower_size(p: int, d: int) -> None:

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numtheory
-from .errors import DEFAULT_ENUM_BUDGET, NotPrime, ZeroHasNoLog, require_tower_size
+from .errors import DEFAULT_ENUM_BUDGET, ZeroHasNoLog, require_tower_size
 
 # entries of an int64 scratch block: the trace sequence is summed, and the
 # period histograms in cyclotomy are keyed, this many elements at a time
@@ -204,16 +204,12 @@ class _Core:
         if r == 2:
             return one
         checks = [(r - 1) // ell for ell in numtheory.factorize(r - 1)]
-        if d == 1:
-            for g in range(2, p):
-                if all(pow(g, e, p) != 1 for e in checks):
-                    return (g,)
-        else:
-            # encodings below p are GF(p), whose orders divide p - 1 < r - 1
-            for enc in range(p, r):
-                cand = _digits(enc, p, d)
-                if all(_ppow(cand, e, self.modulus, p) != one for e in checks):
-                    return cand
+        # past GF(p) itself, encodings below p are GF(p), whose orders divide
+        # p - 1 < r - 1; in GF(p), 0 and 1 are never primitive
+        for enc in range(2 if d == 1 else p, r):
+            cand = _digits(enc, p, d)
+            if all(_ppow(cand, e, self.modulus, p) != one for e in checks):
+                return cand
         raise AssertionError("no primitive element found")  # impossible
 
     def _frobenius_matrix(self) -> np.ndarray:
@@ -589,8 +585,7 @@ def build_tower(p: int, s: int, m: int, *, modulus: tuple | None = None) -> Fiel
     The modulus override exists so independence tests can rebuild the same
     field on a different basis; overridden towers bypass the cache.
     """
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
     d = s * m

@@ -35,6 +35,12 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+def require_prime(n: int) -> None:
+    """Refuse a parameter n that must be prime and is not."""
+    if not is_prime(n):
+        raise NotPrime(f"{n} is not prime")
+
+
 def _strong_probable_prime(n: int, bases: tuple) -> bool:
     """Miller-Rabin for odd n > 2 and every base in bases."""
     d = n - 1
@@ -263,8 +269,7 @@ def class_number(l: int) -> int:
     Counts reduced binary quadratic forms (A, B, C) of discriminant -l:
     B^2 - 4AC = -l with |B| <= A <= C, and B >= 0 when |B| = A or A = C.
     """
-    if not is_prime(l):
-        raise NotPrime(f"{l} is not prime")
+    require_prime(l)
     if l % 4 != 3 or l == 3:
         raise BadDiscriminant(f"-{l} is outside the supported family")
     h = 0

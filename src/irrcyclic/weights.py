@@ -28,12 +28,14 @@ from .errors import (
     EvenPrime,
     IrrationalPeriod,
     NonIntegralWeight,
-    NotADivisor,
     NotIndexTwo,
     NotPrime,
     OrderNotPrimePower,
     SizeBudgetExceeded,
     Unsupported,
+    require_divisor,
+    require_enum_size,
+    require_tower_size,
 )
 
 
@@ -61,14 +63,12 @@ class CodeSpec:
 
 
 def code_params(p: int, s: int, m: int, N: int) -> CodeSpec:
-    if not numtheory.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    numtheory.require_prime(p)
     if s < 1 or m < 1:
         raise ValueError("s and m must be positive")
     q = p**s
     r = q**m
-    if N < 1 or (r - 1) % N:
-        raise NotADivisor(f"N = {N} does not divide r - 1 = {r - 1}")
+    require_divisor(N, r)
     n = (r - 1) // N
     N1 = math.gcd((r - 1) // (q - 1), N)
     # the true dimension divides m, so only divisors need checking
@@ -300,11 +300,19 @@ def build_tower(p: int, s: int, m: int):
     return fields.build_tower(p, s, m)
 
 
-def _brute(spec: CodeSpec, budget: int) -> WeightDistribution:
+def enumerated_periods(spec: CodeSpec, N: int, *, budget: int):
+    """The order-N Gaussian periods of GF(r) by enumeration; a field past the
+    tower cap, then past budget, is refused before numpy loads."""
+    require_tower_size(spec.p, spec.s * spec.m)
+    require_enum_size("period enumeration", spec.r, budget)
     from . import cyclotomy
 
     tower = build_tower(spec.p, spec.s, spec.m)
-    periods = cyclotomy.gaussian_periods_exact(tower, spec.N1, budget=budget)
+    return cyclotomy.gaussian_periods_exact(tower, N, budget=budget)
+
+
+def _brute(spec: CodeSpec, budget: int) -> WeightDistribution:
+    periods = enumerated_periods(spec, spec.N1, budget=budget)
     if periods.integer_values is None:
         raise IrrationalPeriod(
             f"order-{spec.N1} periods must be integers when N1 divides (r-1)/(q-1)"
@@ -352,8 +360,7 @@ def prime_power_distribution(q: int, t: int, ell: int, jj: int) -> WeightDistrib
     (p, s), = qfac.items()
     if t == 2:
         raise EvenPrime("the length prime t must be odd")
-    if not numtheory.is_prime(t):
-        raise NotPrime(f"{t} is not prime")
+    numtheory.require_prime(t)
     if ell < 1 or not 1 <= jj <= ell:
         raise ValueError("need ell >= 1 and 1 <= jj <= ell")
     order = numtheory.mult_order(q, t**ell)

@@ -68,6 +68,15 @@ def test_dist_budget_blocks_brute(capsys):
     assert "out of budget" in out
 
 
+def test_dist_brute_budget_exits_3(capsys):
+    rc, out = run(capsys, "dist", "--p", "2", "--s", "1", "--m", "10", "--N", "3",
+                  "--method", "brute", "--budget", "100")
+    assert rc == 3
+    assert out == (
+        "unsupported: SizeBudgetExceeded: r = 1024 exceeds the enumeration budget 100\n"
+    )
+
+
 def test_budget_irrelevant_when_closed_form_applies(capsys):
     # closed forms never enumerate the field, so the budget must not trip
     rc, out = run(capsys, "dist", "--p", "2", "--s", "1", "--m", "20", "--N", "1",
@@ -169,6 +178,14 @@ def test_periods_closed_miss_exits_3(capsys):
                   "--method", "closed")
     assert rc == 3
     assert out.startswith("unsupported: Unsupported:")
+
+
+def test_periods_closed_order_past_budget_exits_3(capsys):
+    # thm24 gives these periods, but one line per class is past the budget
+    rc, out = run(capsys, "periods", "--p", "2", "--s", "1", "--m", "20", "--N", "1025",
+                  "--budget", "1000")
+    assert rc == 3
+    assert out == "unsupported: SizeBudgetExceeded: periods of order 1025 exceed budget 1000\n"
 
 
 def test_table1_text(capsys):
@@ -353,6 +370,8 @@ def test_closed_paths_never_import_numpy():
         "                      '--method', 'brute')),\n"
         "    ('enum-budget', ('periods', '--p', '2', '--s', '1', '--m', '24', '--N', '5',\n"
         "                     '--method', 'brute')),\n"
+        "    ('dist-tower-budget', ('dist', '--p', '2', '--s', '1', '--m', '40', '--N', '5',\n"
+        "                           '--method', 'brute', '--budget', '2199023255552')),\n"
         "    ('verify', ('verify', '--p', '2', '--s', '1', '--m', '4', '--N', '3')),\n"
         "]:\n"
         "    rc, err, loaded = run(*argv)\n"
@@ -369,11 +388,13 @@ def test_closed_paths_never_import_numpy():
         "periods-text 0 False",
     ]
     # the refusals keep the text and the order of the field layer's checks
-    assert lines[5:7] == [
+    assert lines[5:8] == [
         "tower-budget 3 False unsupported: SizeBudgetExceeded:"
         " r = 2^40 exceeds the tower budget 67108864",
         "enum-budget 3 False unsupported: SizeBudgetExceeded:"
         " period enumeration at r = 16777216 exceeds budget 4194304",
+        "dist-tower-budget 3 False unsupported: SizeBudgetExceeded:"
+        " r = 2^40 exceeds the tower budget 67108864",
     ]
-    assert lines[7] == "verify 0 True"
+    assert lines[8] == "verify 0 True"
 

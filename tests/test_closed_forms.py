@@ -355,6 +355,13 @@ def test_index2_periods_class_order():
     assert list(got) == [eta for eta, _ in periods]
 
 
+def test_period_poly_bad_order_has_the_code_params_text():
+    with pytest.raises(NotADivisor, match=r"^N = 3 does not divide r - 1 = 7$"):
+        cf.period_poly_order3(2, 1, 3)
+    with pytest.raises(NotADivisor, match=r"^N = 4 does not divide r - 1 = 7$"):
+        cf.period_poly_order4(2, 1, 3)
+
+
 def test_closed_periods_rule_order_and_guard():
     assert cf.closed_periods(3, 62, 4)[0] == "thm24"   # order 4, p = 3 (mod 4)
     assert cf.closed_periods(3, 3, 2) is None         # odd degree: irrational

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irrcyclic import closed_forms, cyclotomy
-from irrcyclic.errors import NotADivisor, SizeBudgetExceeded
+from irrcyclic.errors import EvenPrime, NotADivisor, SizeBudgetExceeded
 from irrcyclic.fields import FieldTower, _Core, build_tower
 
 
@@ -348,6 +348,31 @@ def test_periods_invalid_order():
         cyclotomy.gaussian_periods_exact(t, 2, budget=4)
 
 
+def test_bad_order_has_the_code_params_text():
+    with pytest.raises(NotADivisor, match=r"^N = 7 does not divide r - 1 = 80$"):
+        cyclotomy.cyclotomic_numbers(build_tower(3, 1, 4), 7)
+
+
+def test_product_table_cap():
+    # irrational periods over GF(601^2): the table check runs up to
+    # N * p = PRODUCT_RULE_CAP and is skipped past it
+    t = build_tower(601, 1, 2)
+    assert 300 * 601 <= cyclotomy.PRODUCT_RULE_CAP < 600 * 601
+    wide = cyclotomy.gaussian_periods_exact(t, 600)
+    assert wide.integer_values is None and not wide.product_rule_checked
+    narrow = cyclotomy.gaussian_periods_exact(t, 300)
+    assert narrow.integer_values is None and narrow.product_rule_checked
+
+
+def test_int_product_check_refuses_huge_periods():
+    # squares near 2^80 would wrap an int64 dot product; the integer bound
+    # max eta^2 <= r refuses them before any dot product is taken
+    theta = cyclotomy._theta_flags(7, 7, 2)
+    for values in ([2**40, -(2**40) - 1], [3, 2**40 + 5]):
+        with pytest.raises(AssertionError, match="period product identity failed"):
+            cyclotomy._check_product_rule_int(np.array(values, dtype=np.int64), 7, 2, theta)
+
+
 # -- numeric bridges
 
 
@@ -390,6 +415,12 @@ def test_quadratic_char_sum_is_quadratic_gauss_sum():
         assert total.is_integer and total.as_integer() == want
         exact = closed_forms.quadratic_gauss_sum(p, s)
         assert exact.is_rational and exact.as_integer() == want
+
+
+def test_quadratic_char_sum_needs_odd_characteristic():
+    t = build_tower(2, 1, 3)
+    with pytest.raises(EvenPrime):
+        cyclotomy.quadratic_char_sum(t, t.one, t.zero, t.zero)
 
 
 def test_quadratic_char_sum_shifts():
