@@ -7,50 +7,83 @@ values inside the record are decimal strings so that results beyond 64 bits
 survive any JSON reader.
 
 Only the enumerations of `verify`, `dist` and `periods` load numpy, after their
-size gates; a closed form or a size refusal never does.
+size gates; a closed form or a size refusal never does.  Nor does a closed
+form load `dataclasses` or `fractions`, except that thm22 (index two) loads
+`fractions`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 import time
 
 from . import closed_forms, errors, weights
-from .errors import DEFAULT_ENUM_BUDGET
+from .errors import DEFAULT_ENUM_BUDGET, _Record
 
 _METHODS = ("auto", "closed", "brute")
 
 
-@dataclasses.dataclass
-class RunReport:
-    """Machine-readable record of one CLI run; round-trips through JSON."""
+class RunReport(_Record):
+    """Machine-readable record of one CLI run; round-trips through JSON.
 
-    p: int | None = None
-    s: int | None = None
-    m: int | None = None
-    N: int | None = None
-    q: int | None = None
-    r: int | None = None
-    n: int | None = None
-    N1: int | None = None
-    m0: int | None = None
-    method: str | None = None
-    weights: tuple[tuple[int, int], ...] | None = None
-    divisor: int | None = None
-    bounds: tuple[int, int] | None = None
-    thm14: dict | None = None
-    verify: dict | None = None
-    periods: tuple[str, ...] | None = None
-    table: tuple[dict, ...] | None = None
-    elapsed_ms: float | None = None
+    Unlike the other records it is filled in as the run goes, so it takes
+    assignment and has no hash.  `__slots__` is the schema's key order.
+    """
+
+    __slots__ = (
+        "p", "s", "m", "N", "q", "r", "n", "N1", "m0", "method", "weights",
+        "divisor", "bounds", "thm14", "verify", "periods", "table", "elapsed_ms",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        p: int | None = None,
+        s: int | None = None,
+        m: int | None = None,
+        N: int | None = None,
+        q: int | None = None,
+        r: int | None = None,
+        n: int | None = None,
+        N1: int | None = None,
+        m0: int | None = None,
+        method: str | None = None,
+        weights: tuple[tuple[int, int], ...] | None = None,
+        divisor: int | None = None,
+        bounds: tuple[int, int] | None = None,
+        thm14: dict | None = None,
+        verify: dict | None = None,
+        periods: tuple[str, ...] | None = None,
+        table: tuple[dict, ...] | None = None,
+        elapsed_ms: float | None = None,
+    ):
+        self.p = p
+        self.s = s
+        self.m = m
+        self.N = N
+        self.q = q
+        self.r = r
+        self.n = n
+        self.N1 = N1
+        self.m0 = m0
+        self.method = method
+        self.weights = weights
+        self.divisor = divisor
+        self.bounds = bounds
+        self.thm14 = thm14
+        self.verify = verify
+        self.periods = periods
+        self.table = table
+        self.elapsed_ms = elapsed_ms
 
     def record(self) -> dict:
         """The JSON record, each field in its schema form."""
-        rec = dataclasses.asdict(self)
+        rec = {name: getattr(self, name) for name in self._fields}
         if self.weights is not None:
             rec["weights"] = [
                 {"w": str(w), "count": str(c)} for w, c in self.weights

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import numtheory
 from .errors import (
@@ -18,8 +17,14 @@ from .errors import (
     IrrationalPeriod,
     NotIndexTwo,
     NotSemiprimitive,
+    _Record,
     require_divisor,
 )
+
+if TYPE_CHECKING:
+    # for annotations only: each function that builds a Fraction imports it,
+    # so that the other closed forms never load fractions (and decimal)
+    from fractions import Fraction
 
 
 class QuadraticValue:
@@ -106,6 +111,8 @@ class QuadraticValue:
 
     def norm(self) -> Fraction:
         """self * conjugate(self), always rational."""
+        from fractions import Fraction
+
         return Fraction(self.half_x**2 - self.D * self.half_y**2, 4)
 
     @property
@@ -187,27 +194,29 @@ def expand_roots(roots) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@dataclass(frozen=True)
-class PeriodPolynomial:
+class PeriodPolynomial(_Record):
     """Monic integer polynomial whose roots are the order-N Gaussian periods.
 
     coeffs is ascending (constant first, leading 1 last).  roots, when the
     closed form determines them, is a tuple of (value, multiplicity) pairs.
     """
 
-    N: int
-    r: int
-    coeffs: tuple[int, ...]
-    roots: tuple[tuple[int, int], ...] | None
+    __slots__ = ("N", "r", "coeffs", "roots")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.N + 1 or self.coeffs[-1] != 1:
+    def __init__(self, N: int, r: int, coeffs: tuple[int, ...],
+                 roots: tuple[tuple[int, int], ...] | None):
+        if len(coeffs) != N + 1 or coeffs[-1] != 1:
             raise AssertionError("the period polynomial must be monic of degree N")
-        if self.roots is not None:
-            if sum(mult for _, mult in self.roots) != self.N:
+        if roots is not None:
+            if sum(mult for _, mult in roots) != N:
                 raise AssertionError("root multiplicities must sum to N")
-            if expand_roots(self.roots) != self.coeffs:
+            if expand_roots(roots) != coeffs:
                 raise AssertionError("roots do not expand to the coefficients")
+        set_field = object.__setattr__
+        set_field(self, "N", N)
+        set_field(self, "r", r)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "roots", roots)
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -330,17 +339,20 @@ def semiprimitive_gauss_sums(p: int, j: int, gamma: int, N: int) -> list[int]:
     return [(-1) ** (gamma - 1) * root] * (N - 1)
 
 
-@dataclass(frozen=True)
-class SemiprimitivePeriods:
+class SemiprimitivePeriods(_Record):
     """Order-N periods in the semiprimitive case: one special class, rest equal.
 
     Unpacks as (special_value, special_index, common_value).
     """
 
-    N: int
-    special_index: int
-    special_value: int
-    common_value: int
+    __slots__ = ("N", "special_index", "special_value", "common_value")
+
+    def __init__(self, N: int, special_index: int, special_value: int, common_value: int):
+        set_field = object.__setattr__
+        set_field(self, "N", N)
+        set_field(self, "special_index", special_index)
+        set_field(self, "special_value", special_value)
+        set_field(self, "common_value", common_value)
 
     def __iter__(self):
         return iter((self.special_value, self.special_index, self.common_value))
@@ -371,8 +383,7 @@ def semiprimitive_periods(p: int, j: int, gamma: int, N: int) -> SemiprimitivePe
 # order (l-1)/2 mod l
 
 
-@dataclass(frozen=True)
-class IndexTwoParams:
+class IndexTwoParams(_Record):
     """Everything needed to evaluate the index-two weight formula.
 
     P, A, B are indexed 0..lam+1; entries 0 and lam+1 are zero by convention
@@ -380,18 +391,24 @@ class IndexTwoParams:
     gauss_sum(t) = P[t] * (A[t] + B[t] * sqrt(-l)) for t = 1..lam.
     """
 
-    p: int
-    l: int
-    lam: int
-    s: int
-    N1: int
-    f: int
-    h: int
-    a: int
-    b: int
-    P: tuple[int, ...]
-    A: tuple[Fraction, ...]
-    B: tuple[Fraction, ...]
+    __slots__ = ("p", "l", "lam", "s", "N1", "f", "h", "a", "b", "P", "A", "B")
+
+    def __init__(self, p: int, l: int, lam: int, s: int, N1: int, f: int, h: int,
+                 a: int, b: int, P: tuple[int, ...], A: tuple[Fraction, ...],
+                 B: tuple[Fraction, ...]):
+        set_field = object.__setattr__
+        set_field(self, "p", p)
+        set_field(self, "l", l)
+        set_field(self, "lam", lam)
+        set_field(self, "s", s)
+        set_field(self, "N1", N1)
+        set_field(self, "f", f)
+        set_field(self, "h", h)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "P", P)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
 
     def gauss_sum(self, t: int) -> QuadraticValue:
         x = 2 * self.A[t] * self.P[t]
@@ -402,6 +419,8 @@ class IndexTwoParams:
 
     def class_sum(self, i: int) -> int:
         """The exact character-sum correction S_i entering the weight of class i."""
+        from fractions import Fraction
+
         if not 0 <= i < self.N1:
             raise ValueError("class index out of range")
         if i == 0:
@@ -429,6 +448,8 @@ def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
     s is the ratio (total degree) / f where f = phi(l^lam) / 2 is the degree
     attached to the full order l^lam; the caller checks that ratio is integral.
     """
+    from fractions import Fraction
+
     numtheory.require_prime(p)
     numtheory.require_prime(l)
     if l % 4 != 3 or l == 3:

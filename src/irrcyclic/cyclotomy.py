@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -39,6 +38,7 @@ from .errors import (
     TOWER_CAP,
     EvenPrime,
     SizeBudgetExceeded,
+    _Record,
     require_divisor,
     require_enum_size,
 )
@@ -161,19 +161,25 @@ def dlog_of_minus_one(p: int, r: int) -> int:
     return 0 if p == 2 else (r - 1) // 2
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianPeriodSet:
+class GaussianPeriodSet(_Record):
     """Exact Gaussian periods of order N over GF(r), indexed by class.
 
     counts is the read-only int32 (N, p) canonical count matrix: period k
-    is sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.
+    is sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.  Compared by
+    identity; the __dict__ holds the cached properties.
     """
 
-    r: int
-    N: int
-    p: int
-    counts: np.ndarray
-    product_rule_checked: bool
+    __slots__ = ("r", "N", "p", "counts", "product_rule_checked", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, r: int, N: int, p: int, counts: np.ndarray, product_rule_checked: bool):
+        set_field = object.__setattr__
+        set_field(self, "r", r)
+        set_field(self, "N", N)
+        set_field(self, "p", p)
+        set_field(self, "counts", counts)
+        set_field(self, "product_rule_checked", product_rule_checked)
 
     def __len__(self) -> int:
         return self.N
@@ -349,16 +355,22 @@ def gaussian_periods_exact(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CyclotomicTable:
+class CyclotomicTable(_Record):
     """Cyclotomic numbers (i, j) of order N: counts of x in C_i with x + 1 in C_j.
 
     counts is the read-only (N, N) int64 count matrix; indexing gives ints.
+    Compared by identity.
     """
 
-    r: int
-    N: int
-    counts: np.ndarray
+    __slots__ = ("r", "N", "counts")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, r: int, N: int, counts: np.ndarray):
+        set_field = object.__setattr__
+        set_field(self, "r", r)
+        set_field(self, "N", N)
+        set_field(self, "counts", counts)
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair

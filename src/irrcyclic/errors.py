@@ -1,4 +1,5 @@
-"""Exception types shared across the package, the size limits, and the gates.
+"""Exception types shared across the package, the size limits, the gates,
+and the base of the package's records.
 
 The limits and gates live here, away from the numpy-backed field layer, so
 the closed-form paths refuse an oversize enumeration without loading it.
@@ -6,8 +7,50 @@ DEFAULT_ENUM_BUDGET is the default of the one size knob, `--budget`;
 TOWER_CAP is a fixed bound on the fields a tower is ever built for.
 """
 
+from operator import attrgetter
+
 DEFAULT_ENUM_BUDGET = 1 << 22
 TOWER_CAP = 1 << 26
+
+
+class _Record:
+    """Base of the package's records: plain classes, so that importing them
+    compiles no generated code.
+
+    A subclass lists its fields in constructor order as `__slots__` (a
+    "__dict__" entry there only makes room for cached properties) and sets
+    them in its `__init__` through `object.__setattr__`.  A record compares
+    and hashes as the tuple of its fields, prints as Name(field=value, ...),
+    pickles through its constructor, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Error(Exception):

@@ -11,22 +11,24 @@ element and exists to cross-check the vectorized path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_ENUM_BUDGET, require_enum_size
+from .errors import DEFAULT_ENUM_BUDGET, _Record, require_enum_size
 from .fields import FieldElement, FieldTower, build_tower
 from .weights import CodeSpec, WeightDistribution, distribution_from_beta_weights
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(_Record):
     """One literal codeword: entries are traces of beta * theta^j down to GF(q)."""
 
-    spec: CodeSpec
-    beta: FieldElement
-    entries: tuple[FieldElement, ...]
+    __slots__ = ("spec", "beta", "entries")
+
+    def __init__(self, spec: CodeSpec, beta: FieldElement, entries: tuple[FieldElement, ...]):
+        set_field = object.__setattr__
+        set_field(self, "spec", spec)
+        set_field(self, "beta", beta)
+        set_field(self, "entries", entries)
 
     @property
     def weight(self) -> int:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import closed_forms, numtheory
 from .errors import (
@@ -33,26 +31,31 @@ from .errors import (
     OrderNotPrimePower,
     SizeBudgetExceeded,
     Unsupported,
+    _Record,
     require_divisor,
     require_enum_size,
     require_tower_size,
 )
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(_Record):
     """Validated parameters of one irreducible cyclic code, plus derived facts."""
 
-    p: int
-    s: int
-    m: int
-    N: int
-    q: int
-    r: int
-    n: int
-    N1: int
-    m0: int
-    kernel_size: int
+    __slots__ = ("p", "s", "m", "N", "q", "r", "n", "N1", "m0", "kernel_size")
+
+    def __init__(self, p: int, s: int, m: int, N: int, q: int, r: int, n: int,
+                 N1: int, m0: int, kernel_size: int):
+        set_field = object.__setattr__
+        set_field(self, "p", p)
+        set_field(self, "s", s)
+        set_field(self, "m", m)
+        set_field(self, "N", N)
+        set_field(self, "q", q)
+        set_field(self, "r", r)
+        set_field(self, "n", n)
+        set_field(self, "N1", N1)
+        set_field(self, "m0", m0)
+        set_field(self, "kernel_size", kernel_size)
 
     @property
     def degenerate(self) -> bool:
@@ -83,6 +86,8 @@ def weight_from_period(spec: CodeSpec, eta: int) -> int:
     num = (spec.q - 1) * (spec.r - 1 - spec.N1 * eta)
     w, rem = divmod(num, spec.q * spec.N)
     if rem or not 0 <= w <= spec.n:
+        from fractions import Fraction
+
         raise NonIntegralWeight(
             f"period {eta} gives weight {Fraction(num, spec.q * spec.N)} for {spec}"
         )
@@ -97,6 +102,8 @@ def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -
     """
     if params.N1 != spec.N1:
         raise NotIndexTwo(f"parameters are for order {params.N1}, spec has N1 = {spec.N1}")
+    from fractions import Fraction
+
     w = Fraction(spec.q - 1, spec.N * spec.q) * (spec.r - params.class_sum(i))
     if w.denominator != 1 or not 0 <= w <= spec.n:
         raise NonIntegralWeight(f"index-two class {i} gives weight {w} for {spec}")
@@ -130,13 +137,16 @@ def is_constant_weight(spec: CodeSpec) -> bool:
     return spec.N1 == 1 or spec.m0 == 1
 
 
-@dataclass(frozen=True)
-class PeriodCheck:
+class PeriodCheck(_Record):
     """Outcome of the three structural checks on a set of order-N1 periods."""
 
-    integral: bool
-    congruent: bool
-    bounded: bool
+    __slots__ = ("integral", "congruent", "bounded")
+
+    def __init__(self, integral: bool, congruent: bool, bounded: bool):
+        set_field = object.__setattr__
+        set_field(self, "integral", integral)
+        set_field(self, "congruent", congruent)
+        set_field(self, "bounded", bounded)
 
     @property
     def all_pass(self) -> bool:
@@ -162,20 +172,16 @@ def check_period_properties(spec: CodeSpec, periods) -> PeriodCheck:
     return PeriodCheck(True, congruent, bounded)
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(_Record):
     """Nonzero weights with codeword counts, ascending by weight."""
 
-    spec: CodeSpec
-    entries: tuple[tuple[int, int], ...]
-    method: str
+    __slots__ = ("spec", "entries", "method")
 
-    def __post_init__(self):
-        spec = self.spec
+    def __init__(self, spec: CodeSpec, entries: tuple[tuple[int, int], ...], method: str):
         last = 0
         total = 0
         div = divisibility(spec)
-        for w, count in self.entries:
+        for w, count in entries:
             if not (w > last and count > 0):
                 raise AssertionError("entries must be ascending with positive counts")
             if w > spec.n:
@@ -186,10 +192,14 @@ class WeightDistribution:
             total += count
         if total != spec.q**spec.m0 - 1:
             raise AssertionError("counts must cover all nonzero codewords")
-        if self.entries:
+        if entries:
             lo, hi = bounds(spec)
-            if not (lo <= self.entries[0][0] and self.entries[-1][0] <= hi):
+            if not (lo <= entries[0][0] and entries[-1][0] <= hi):
                 raise AssertionError("weights violate the bound theorem")
+        set_field = object.__setattr__
+        set_field(self, "spec", spec)
+        set_field(self, "entries", entries)
+        set_field(self, "method", method)
 
     def counts_by_weight(self) -> dict[int, int]:
         return dict(self.entries)

@@ -252,9 +252,14 @@ def test_json_verify_block(capsys):
     assert rec["thm14"] == {"integral": True, "congruent": True, "bounded": True}
 
 
-def test_report_roundtrip(capsys):
-    rc, out = run(capsys, "verify", "--p", "2", "--s", "1", "--m", "4", "--N", "3",
-                  "--format", "json")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "2", "--s", "1", "--m", "4", "--N", "3"),
+    # irrational periods: the record carries their text
+    ("periods", "--p", "3", "--s", "1", "--m", "3", "--N", "2", "--method", "brute"),
+    ("table1",),
+], ids=["verify", "periods-irrational", "table1"])
+def test_report_roundtrip(capsys, argv):
+    rc, out = run(capsys, *argv, "--format", "json")
     assert rc == 0
     rep = cli.RunReport.from_json(out)
     assert rep.to_json() == json.dumps(json.loads(out))
@@ -350,16 +355,21 @@ def test_large_specs_end_promptly(argv, rc, method):
 def test_closed_paths_never_import_numpy():
     # a closed-form dist, bounds or periods needs no field enumeration, and an
     # oversize enumeration is refused before the field layer loads; verify
-    # enumerates, which shows that the check sees numpy when it arrives
+    # enumerates, which shows that the check sees numpy when it arrives.
+    # Each line also shows whether dataclasses and fractions are loaded: the
+    # records are plain classes, and only thm22 (index two) builds a Fraction
     code = (
         "import contextlib, io, sys\n"
         "import irrcyclic.cli as cli\n"
+        "def modules():\n"
+        "    return ' '.join(str(name in sys.modules)\n"
+        "                    for name in ('numpy', 'dataclasses', 'fractions'))\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        with contextlib.redirect_stderr(io.StringIO()) as err:\n"
         "            rc = cli.main(list(argv))\n"
-        "    return rc, err.getvalue(), 'numpy' in sys.modules\n"
-        "print('import', 0, 'numpy' in sys.modules)\n"
+        "    return rc, err.getvalue(), modules()\n"
+        "print('import', 0, modules())\n"
         "spec = ('--p', '2', '--s', '1', '--m', '200', '--N', '3')\n"
         "for name, argv in [\n"
         "    ('dist', ('dist', *spec)),\n"
@@ -372,6 +382,7 @@ def test_closed_paths_never_import_numpy():
         "                     '--method', 'brute')),\n"
         "    ('dist-tower-budget', ('dist', '--p', '2', '--s', '1', '--m', '40', '--N', '5',\n"
         "                           '--method', 'brute', '--budget', '2199023255552')),\n"
+        "    ('thm22', ('dist', '--p', '2', '--s', '1', '--m', '21', '--N', '49')),\n"
         "    ('verify', ('verify', '--p', '2', '--s', '1', '--m', '4', '--N', '3')),\n"
         "]:\n"
         "    rc, err, loaded = run(*argv)\n"
@@ -381,20 +392,22 @@ def test_closed_paths_never_import_numpy():
     assert out.returncode == 0, out.stderr
     lines = [line.rstrip() for line in out.stdout.splitlines()]
     assert lines[:5] == [
-        "import 0 False",
-        "dist 0 False",
-        "bounds 0 False",
-        "periods-json 0 False",
-        "periods-text 0 False",
+        "import 0 False False False",
+        "dist 0 False False False",
+        "bounds 0 False False False",
+        "periods-json 0 False False False",
+        "periods-text 0 False False False",
     ]
     # the refusals keep the text and the order of the field layer's checks
     assert lines[5:8] == [
-        "tower-budget 3 False unsupported: SizeBudgetExceeded:"
+        "tower-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " r = 2^40 exceeds the tower budget 67108864",
-        "enum-budget 3 False unsupported: SizeBudgetExceeded:"
+        "enum-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " period enumeration at r = 16777216 exceeds budget 4194304",
-        "dist-tower-budget 3 False unsupported: SizeBudgetExceeded:"
+        "dist-tower-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " r = 2^40 exceeds the tower budget 67108864",
     ]
-    assert lines[8] == "verify 0 True"
+    # thm22 may load fractions, and still no numpy
+    assert lines[8].startswith("thm22 0 False False ")
+    assert lines[9].startswith("verify 0 True ")
 

@@ -42,8 +42,13 @@ def test_weight_from_period():
     assert weights.weight_from_period(spec, 2) == 48
     assert weights.weight_from_period(spec, 9) == 45
     assert weights.weight_from_period(spec, -12) == 54
-    with pytest.raises(NonIntegralWeight):
+    with pytest.raises(NonIntegralWeight) as exc:
         weights.weight_from_period(spec, 1)
+    assert str(exc.value) == "period 1 gives weight 339/7 for CodeSpec(p=7, s=1, m=3, N=6)"
+    # an integral weight past the length n = 57
+    with pytest.raises(NonIntegralWeight) as exc:
+        weights.weight_from_period(spec, -26)
+    assert str(exc.value) == "period -26 gives weight 60 for CodeSpec(p=7, s=1, m=3, N=6)"
 
 
 def test_divisibility_and_bounds_examples():
