@@ -6,7 +6,7 @@ and with an exact enumeration oracle otherwise, entirely in integer
 arithmetic.
 """
 
-import importlib
+import sys
 
 from . import errors
 
@@ -70,11 +70,19 @@ __version__ = "0.1.0"
 __all__ = ["errors", *sorted(_SOURCE)]
 
 
+def _submodule(name: str):
+    # through the import statement's own machinery, which `-X importtime`
+    # reports, where importlib.import_module would charge it to the caller
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
 def __getattr__(name: str):
     if name in _SOURCE:
-        value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+        value = getattr(_submodule(_SOURCE[name]), name)
     elif name in _EXPORTS:
-        value = importlib.import_module(f"{__name__}.{name}")
+        value = _submodule(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -7,6 +7,7 @@ when the theory pins them down, their integer root multisets.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -568,8 +569,15 @@ def closed_periods(p: int, d: int, N: int) -> tuple[str, list[tuple[int, int]]] 
     order N1, `irrcyclic periods` at order N.
     """
     require_divisor(N, p**d)
+    found = _first_rule(p, d, N)
+    return None if found is None else (found[0], list(found[1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _first_rule(p: int, d: int, N: int) -> tuple[str, tuple[tuple[int, int], ...]] | None:
+    # cached as tuples, so no caller can change what the next one is handed
     for tag, rule in _RULES:
         periods = rule(p, d, N)
         if periods is not None:
-            return tag, periods
+            return tag, tuple(periods)
     return None

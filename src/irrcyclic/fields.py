@@ -15,9 +15,10 @@ and the cache's size bound is a bound on memory.
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
 subfield trace-zero masks as booleans, and only the log and successor-log
-tables, whose entries reach r, in int64.  Arithmetic on t runs in int64
+tables, whose entries reach r, in int64.  Arithmetic on t runs in wider
 scratch blocks of SCRATCH_BLOCK entries, because sums and products of
-narrow entries wrap.
+narrow entries wrap: the sequence is built in the narrowest unsigned type
+that holds d (p - 1)^2, and the period histograms key in int64.
 
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
@@ -35,8 +36,8 @@ import numpy as np
 from . import numtheory
 from .errors import DEFAULT_ENUM_BUDGET, ZeroHasNoLog, require_tower_size
 
-# entries of an int64 scratch block: the trace sequence is summed, and the
-# period histograms in cyclotomy are keyed, this many elements at a time
+# entries of a scratch block: the trace sequence is summed, and the period
+# histograms in cyclotomy are keyed, this many elements at a time
 SCRATCH_BLOCK = 1 << 16
 
 
@@ -67,6 +68,8 @@ def _pmul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
 
 def _ppow(a: tuple, e: int, modulus: tuple, p: int) -> tuple:
     d = len(a)
+    if d == 1:
+        return (pow(a[0], e, p),)
     out = (1,) + (0,) * (d - 1)
     base = a
     while e:
@@ -237,9 +240,11 @@ class _Core:
         The first 2d terms fix the order-d recurrence alpha^d = sum c_i alpha^i.
         With alpha^n = sum a_i alpha^i (reduced by that recurrence), every
         known length n >= 2d extends by t[n + j] = sum a_i t[i + j] for
-        j <= n - d, so the known length doubles per step.  t has the dtype
-        np.min_scalar_type(p - 1); each step copies SCRATCH_BLOCK terms at a
-        time into int64 scratch, where products and sums cannot wrap, and
+        j <= n - d, so each step takes the known length from n to 2n - (d - 1),
+        and X^n follows by one squaring and one product with X^(1 - d).
+        t has the dtype np.min_scalar_type(p - 1); each step sums
+        SCRATCH_BLOCK terms at a time in the narrowest unsigned scratch type
+        that holds d (p - 1)^2, where products and sums cannot wrap, and
         writes them back reduced mod p.
         """
         if self._seq is None:
@@ -256,26 +261,29 @@ class _Core:
             gen = (0, 1) + (0,) * (d - 2) if d > 1 else (c[0],)
             t = np.empty(total, dtype=np.min_scalar_type(p - 1))
             t[: 2 * d] = head
-            # int64 scratch: the window of t that a block reads, and the block
+            scratch = np.min_scalar_type(d * (p - 1) ** 2)
             width = min(SCRATCH_BLOCK, total)
-            window = np.empty(width + d - 1, dtype=np.int64)
-            acc = np.empty(width, dtype=np.int64)
+            acc = np.empty(width, dtype=scratch)
+            term = np.empty(width, dtype=scratch)
             n = 2 * d
+            power = _ppow(gen, n, minpoly, p)
+            back = _ppow(gen, self.r - d, minpoly, p)  # X^(1-d), as X^(r-1) = 1
             while n < total:
                 take = min(n - d + 1, total - n)
-                terms = [(i, a) for i, a in enumerate(_ppow(gen, n, minpoly, p)) if a]
+                terms = [(i, a) for i, a in enumerate(power) if a]
                 for lo in range(0, take, width):
                     size = min(width, take - lo)
                     # t[lo + i + j] for i < d and j < size lies below n, so is known
-                    src = window[: size + d - 1]
-                    src[:] = t[lo : lo + size + d - 1]
-                    block = acc[:size]
+                    block, prod = acc[:size], term[:size]
                     block[:] = 0
                     for i, a in terms:
-                        block += src[i : i + size] if a == 1 else a * src[i : i + size]
+                        src = t[lo + i : lo + i + size]
+                        block += src if a == 1 else np.multiply(src, a, out=prod, dtype=scratch)
                     block %= p
                     t[n + lo : n + lo + size] = block
                 n += take
+                if n < total:
+                    power = _pmul(_pmul(power, power, minpoly, p), back, minpoly, p)
             if not (t[self.r - 1 :] == t[:d]).all():
                 raise AssertionError("trace sequence must close with period r - 1")
             self._seq = t

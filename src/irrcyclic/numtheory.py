@@ -8,6 +8,7 @@ all three filter one scan of x^2 + D*y^2 = M.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -15,23 +16,40 @@ from .errors import BadDiscriminant, NoRepresentation, NotCoprime, NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (psi, k): below psi the first k witnesses prove primality, where psi is the
+# least strong pseudoprime to those k bases (Jaeschke, Math. Comp. 1993)
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
+
 
 def is_prime(n: int) -> bool:
     """Primality: proven below 2^64, Baillie-PSW above.
 
     Miller-Rabin on the twelve primes up to 37 is deterministic below
     318665857834031151167461 > 2^64, a composite that passes all twelve
-    (Sorenson & Webster, Math. Comp. 2017).  Above 2^64 a strong base-2 test
-    plus a strong Lucas test with Selfridge's parameters decides: no
-    composite passing both is known (Baillie & Wagstaff, Math. Comp. 1980).
+    (Sorenson & Webster, Math. Comp. 2017); below the bounds in _MR_TIERS a
+    prefix of them already is.  Above 2^64 a strong base-2 test plus a strong
+    Lucas test with Selfridge's parameters decides: no composite passing both
+    is known (Baillie & Wagstaff, Math. Comp. 1980).
     """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # a composite has a prime factor of at most sqrt(n) < 41
     if n < 1 << 64:
-        return _strong_probable_prime(n, _MR_WITNESSES)
+        k = next((k for psi, k in _MR_TIERS if n < psi), len(_MR_WITNESSES))
+        return _strong_probable_prime(n, _MR_WITNESSES[:k])
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
@@ -136,9 +154,15 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
+    """Prime factorization as {prime: exponent}, a fresh dict on every call."""
     if n <= 0:
         raise ValueError("factorize needs a positive integer")
+    return dict(_factorize(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _factorize(n: int) -> dict[int, int]:
+    # shared by every caller through the cache: factorize hands out copies
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -180,15 +204,23 @@ def iroot(n: int, e: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """(t, e) with n = t**e for a prime t, or None; n is never factored.
 
-    A prime power has exactly one exponent e whose integer e-th root is
-    prime, so trying every e <= log2(n) settles it.
+    A witness prime that divides n settles it at once.  Otherwise every prime
+    factor of n is at least 41, and a prime power has exactly one exponent e
+    whose integer e-th root is prime, so trying every e up to log_41(n)
+    settles it.
     """
-    for e in range(1, n.bit_length()):
-        t = iroot(n, e)
-        if t < 2:
-            break
+    if n < 2:
+        return None
+    for t in _MR_WITNESSES:
+        if n % t == 0:
+            e = valuation(n, t)
+            return (t, e) if t**e == n else None
+    t, e = n, 1
+    while t >= 41:
         if t**e == n and is_prime(t):
             return t, e
+        e += 1
+        t = iroot(n, e)
     return None
 
 

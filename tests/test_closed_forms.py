@@ -368,3 +368,15 @@ def test_closed_periods_rule_order_and_guard():
     assert cf.closed_periods(13, 1, 3) is None        # 3 does not divide d
     with pytest.raises(NotADivisor):
         cf.closed_periods(2, 4, 7)
+
+
+def test_closed_periods_cache_hands_out_fresh_lists():
+    first = cf.closed_periods(2, 6, 9)  # 2^3 = -1 (mod 9): thm24
+    assert cf.closed_periods(2, 6, 9) == first
+    tag, periods = first
+    periods.append((0, 1))
+    periods[0] = (12345, 1)
+    assert cf.closed_periods(2, 6, 9) == (tag, [(7, 1), (-1, 8)])
+    # the divisor gate runs outside the cache, whatever (p, d) it holds
+    with pytest.raises(NotADivisor):
+        cf.closed_periods(2, 6, 5)

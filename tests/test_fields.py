@@ -28,8 +28,11 @@ def _prime_powers(limit):
 
 # every field up to 2^10, the edge fields r = 2 and r = 3 among them
 SMALL_FIELDS = _prime_powers(1 << 10)
-# 251, 257 and 65537 are the primes next to the uint8/uint16/uint32 bounds of t
-LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1), (251, 2), (257, 2), (65537, 1)]
+# 251, 257 and 65537 are the primes next to the uint8/uint16/uint32 bounds of t;
+# the sequence is built in scratch that holds d (p - 1)^2: uint8 for 3^8,
+# uint16 for 11^6, uint32 for 1031^2 and uint64 for 65537, a prime field
+LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1), (251, 2), (257, 2), (65537, 1),
+                (3, 8), (11, 6), (1031, 2)]
 
 
 def _check_field(tower, ks):

@@ -53,6 +53,23 @@ def test_is_prime_rejects_pseudoprimes():
         assert not nt._strong_probable_prime(n, (2,))
 
 
+# Jaeschke's psi_k (Math. Comp. 1993), each with the largest k for which it is
+# the least strong pseudoprime to the first k prime bases
+JAESCHKE_PSEUDOPRIMES = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 8), (3825123056546413051, 11),
+)
+
+
+def test_is_prime_tiers_reject_jaeschke_pseudoprimes():
+    # psi_k passes the first k witnesses and fails the next one, so a tier
+    # that reached psi_k with k bases or fewer would call it prime
+    for psi, k in JAESCHKE_PSEUDOPRIMES:
+        assert nt._strong_probable_prime(psi, nt._MR_WITNESSES[:k])
+        assert not nt._strong_probable_prime(psi, nt._MR_WITNESSES[: k + 1])
+        assert not nt.is_prime(psi)
+
+
 def test_baillie_psw_against_sieve():
     # the test that decides above 2^64, run where a sieve can check it: its
     # Lucas half passes exactly the listed composites, and with the
@@ -83,6 +100,13 @@ def test_factorize_known():
     assert nt.factorize(3**10) == {3: 10}
 
 
+def test_factorize_hands_out_fresh_dicts():
+    fac = nt.factorize(360)
+    fac[2] = 99
+    fac[7] = 1
+    assert nt.factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
 def test_factorize_past_trial_division():
     # both factors lie past the trial-division bound, so Pollard rho splits them
     assert nt.factorize((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
@@ -98,6 +122,13 @@ def test_iroot_and_prime_power():
         fac = nt.factorize(n)
         assert nt.prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None)
     assert nt.prime_power(3**160) == (3, 160)
+    # past the witness primes, where the root loop decides
+    for k in range(1, 12):
+        assert nt.prime_power(41**k) == (41, k)
+    assert nt.prime_power(1031**2) == (1031, 2)
+    assert nt.prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    for n in (41 * 43, 41**3 * 43, 1031 * 1033, (2**31 - 1) * (2**61 - 1)):
+        assert nt.prime_power(n) is None
     assert nt.prime_power(2**127 - 1) == (2**127 - 1, 1)
     # a 250-bit n that factorize cannot finish on
     assert nt.prime_power((2**255 - 1) // 31) is None

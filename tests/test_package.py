@@ -40,3 +40,14 @@ def test_exports_load_on_first_use():
         "True",
         "module 'irrcyclic' has no attribute 'no_such_name'",
     ]
+
+
+def test_lazy_submodules_get_their_own_import_time_lines():
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import irrcyclic.cli"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    for name in ("weights", "closed_forms", "numtheory"):
+        assert f"irrcyclic.{name}" in timed
