@@ -17,18 +17,20 @@ class _Record:
     """Base of the package's records: plain classes, so that importing them
     compiles no generated code.
 
-    A subclass lists its fields in constructor order as `__slots__` (a
-    "__dict__" entry there only makes room for cached properties) and sets
-    them in its `__init__` through `object.__setattr__`.  A record compares
-    and hashes as the tuple of its fields, prints as Name(field=value, ...),
-    pickles through its constructor, and refuses assignment and deletion.
+    A subclass lists its fields in constructor order as `__slots__` and sets
+    them in its `__init__` through `object.__setattr__`.  A slot whose name
+    starts with an underscore is not a field: it holds a value the
+    constructor derives from the fields (and "__dict__" only makes room for
+    cached properties).  A record compares and hashes as the tuple of its
+    fields, prints as Name(field=value, ...), pickles through its
+    constructor, and refuses assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):

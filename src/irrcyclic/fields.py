@@ -23,6 +23,17 @@ that holds d (p - 1)^2, and the period histograms key in int64.
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
 primitive element always means smallest under that encoding.
+
+Tuples are the interface (FieldElement, the modulus, alpha); the polynomial
+arithmetic inside runs on packed ints, one kernel per case.  For p = 2 bit i
+of the int is the coefficient of x^i, so the int is the integer encoding
+itself, and products are shifts and XORs.  For odd p coefficient i fills a
+slot of bits [i*W, (i+1)*W), with W the bit width of 2d(p-1)^2, so a product
+is one integer multiplication (Kronecker substitution) followed by a fold of
+the high slots through the rows x^(d+j) mod f and a reduction of each slot
+mod p.  The modulus and primitive-element searches, the trace form, the head
+of the trace sequence and its power steps, and window codes stay packed
+across their loops; `_pmul` and `_ppow` convert at the tuple boundary.
 """
 
 from __future__ import annotations
@@ -42,42 +53,211 @@ SCRATCH_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p); residues are tuples of length d
+# polynomial arithmetic over GF(p) on packed integers
+
+
+# _SPREAD[b] holds bit i of the byte b at bit 2i: squaring over GF(2)
+_SPREAD = tuple(sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256))
+
+
+class _Ring:
+    """Residues modulo a monic f of degree d over GF(p), each packed into one
+    int: coefficient i of the residue sits in bits [i*slot, (i+1)*slot)."""
+
+    __slots__ = ("p", "d", "slot", "mask")
+
+    def pack(self, coeffs) -> int:
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << self.slot) | c
+        return v
+
+    def unpack(self, a: int) -> tuple:
+        slot, mask = self.slot, self.mask
+        return tuple((a >> (i * slot)) & mask for i in range(self.d))
+
+    def pow(self, a: int, e: int) -> int:
+        if not e:
+            return 1
+        sqr, mul = self.sqr, self.mul
+        out = a
+        for bit in bin(e)[3:]:
+            out = sqr(out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+
+class _Ring2(_Ring):
+    """GF(2)[x] / (f): bit i of a residue is its coefficient of x^i, so a
+    residue is its own integer encoding.  Products are shifts and XORs, a
+    square spreads the bits by table, and f is XORed away from the top."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, modulus: tuple):
+        self.p, self.d, self.slot, self.mask = 2, len(modulus) - 1, 1, 1
+        self.f = self.pack(modulus)
+
+    def from_encoding(self, enc: int) -> int:
+        return enc
+
+    def _reduce(self, c: int) -> int:
+        f, d = self.f, self.d
+        n = c.bit_length()
+        while n > d:
+            c ^= f << (n - 1 - d)
+            n = c.bit_length()
+        return c
+
+    def mul(self, a: int, b: int) -> int:
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        c = 0
+        while b:
+            low = b & -b
+            c ^= a * low
+            b ^= low
+        return self._reduce(c)
+
+    def sqr(self, a: int) -> int:
+        c = shift = 0
+        while a:
+            c |= _SPREAD[a & 0xFF] << shift
+            a >>= 8
+            shift += 16
+        return self._reduce(c)
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def sum(self, terms) -> int:
+        total = 0
+        for t in terms:
+            total ^= t
+        return total
+
+    def coprime(self, a: int) -> bool:
+        """True when gcd(f, a) has degree zero."""
+        g, h = self.f, a
+        while h:
+            n = h.bit_length()
+            m = g.bit_length()
+            while m >= n:
+                g ^= h << (m - n)
+                m = g.bit_length()
+            g, h = h, g
+        return g == 1
+
+    def linear_form(self, w: tuple):
+        """The map a -> sum_i w_i a_i over GF(2), as a popcount."""
+        mask = self.pack(w)
+        return lambda a: (a & mask).bit_count() & 1
+
+
+class _RingP(_Ring):
+    """GF(p)[x] / (f) for odd p, by Kronecker substitution: slot is the bit
+    width of 2d(p-1)^2.  A product of residues has 2d - 1 slots of at most
+    d(p-1)^2; its high slots, reduced mod p, fold back onto the low d through
+    the rows x^(d+j) mod f, adding at most (d-1)(p-1)^2 to a slot, so no slot
+    carries before the last step takes each one mod p."""
+
+    __slots__ = ("modulus", "rows", "low", "shifts")
+
+    def __init__(self, modulus: tuple, p: int):
+        d = len(modulus) - 1
+        self.p, self.d, self.modulus = p, d, modulus
+        self.slot = (2 * d * (p - 1) ** 2).bit_length()
+        self.mask = (1 << self.slot) - 1
+        self.low = (1 << (d * self.slot)) - 1
+        self.shifts = tuple(range((d - 1) * self.slot, -1, -self.slot))
+        # row j is x^(d+j) mod f: x^d is minus the low part of f, and each
+        # next row is x times the last, its top coefficient folded back
+        # through x^d
+        first = [-c % p for c in modulus[:d]]
+        row, rows = first, []
+        for _ in range(d - 1):
+            rows.append(self.pack(row))
+            top = row[-1]
+            row = [(a + top * b) % p for a, b in zip([0] + row[:-1], first)]
+        self.rows = rows
+
+    def from_encoding(self, enc: int) -> int:
+        v = shift = 0
+        for _ in range(self.d):
+            enc, c = divmod(enc, self.p)
+            v |= c << shift
+            shift += self.slot
+        return v
+
+    def _norm(self, v: int) -> int:
+        """Each of the d slots of v taken mod p."""
+        p, slot, mask = self.p, self.slot, self.mask
+        out = 0
+        for shift in self.shifts:
+            out = (out << slot) | ((v >> shift) & mask) % p
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        c = a * b
+        low, high = c & self.low, c >> (self.d * self.slot)
+        p, slot, mask = self.p, self.slot, self.mask
+        for row in self.rows:
+            if not high:
+                break
+            h = (high & mask) % p
+            if h:
+                low += h * row
+            high >>= slot
+        return self._norm(low)
+
+    def sqr(self, a: int) -> int:
+        return self.mul(a, a)
+
+    def pow(self, a: int, e: int) -> int:
+        if self.d == 1:
+            return pow(a, e, self.p)
+        return _Ring.pow(self, a, e)
+
+    def sub(self, a: int, b: int) -> int:
+        # adding p to every slot first keeps each slot nonnegative
+        return self._norm(a + self.pack((self.p,) * self.d) - b)
+
+    def sum(self, terms) -> int:
+        # at most 2d(p-1) terms keep every slot below 2^slot
+        return self._norm(sum(terms))
+
+    def coprime(self, a: int) -> bool:
+        """True when gcd(f, a) has degree zero."""
+        return _pgcd_is_const(list(self.modulus), list(self.unpack(a)), self.p)
+
+    def linear_form(self, w: tuple):
+        """The map a -> sum_i w_i a_i mod p: slot d - 1 of a times w reversed."""
+        rev, shift = self.pack(w[::-1]), (self.d - 1) * self.slot
+        mask, p = self.mask, self.p
+        return lambda a: ((a * rev) >> shift & mask) % p
+
+
+def _make_ring(modulus: tuple, p: int) -> _Ring:
+    return _Ring2(modulus) if p == 2 else _RingP(modulus, p)
+
+
+@functools.lru_cache(maxsize=32)
+def _ring(modulus: tuple, p: int) -> _Ring:
+    """The ring of modulus over GF(p), shared by the tuple entry points."""
+    return _make_ring(modulus, p)
 
 
 def _pmul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    d = len(a)
-    if d == 1:
-        return ((a[0] * b[0]) % p,)
-    prod = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    for i in range(2 * d - 2, d - 1, -1):
-        c = prod[i] % p
-        if c:
-            # x^i = -x^(i-d) * modulus[<d] since the modulus is monic
-            for j in range(d):
-                if modulus[j]:
-                    prod[i - d + j] -= c * modulus[j]
-        prod[i] = 0
-    return tuple(v % p for v in prod[:d])
+    """a * b modulo the monic modulus, on coefficient tuples."""
+    ring = _ring(modulus, p)
+    return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
 
 
 def _ppow(a: tuple, e: int, modulus: tuple, p: int) -> tuple:
-    d = len(a)
-    if d == 1:
-        return (pow(a[0], e, p),)
-    out = (1,) + (0,) * (d - 1)
-    base = a
-    while e:
-        if e & 1:
-            out = _pmul(out, base, modulus, p)
-        base = _pmul(base, base, modulus, p)
-        e >>= 1
-    return out
+    """a^e modulo the monic modulus, on coefficient tuples."""
+    ring = _ring(modulus, p)
+    return ring.unpack(ring.pow(ring.pack(a), e))
 
 
 def _pstrip(a: list) -> list:
@@ -106,26 +286,19 @@ def _pgcd_is_const(a: list, b: list, p: int) -> bool:
     return len(a) == 1
 
 
-def _is_irreducible(modulus: tuple, p: int) -> bool:
-    """Rabin's test for a monic polynomial given as its full coefficient tuple."""
-    d = len(modulus) - 1
+def _is_irreducible(ring: _Ring) -> bool:
+    """Rabin's test for the modulus of ring."""
+    d, p = ring.d, ring.p
     if d == 1:
         return True
-    x = (0, 1) + (0,) * (d - 2)
+    x = 1 << ring.slot
     checkpoints = {d // ell for ell in numtheory.factorize(d)}
     cur = x
     for k in range(1, d + 1):
-        cur = _ppow(cur, p, modulus, p)
-        if k in checkpoints:
-            diff = [(cur[i] - x[i]) % p for i in range(d)]
-            if not _pgcd_is_const(list(modulus), diff, p):
-                return False
+        cur = ring.pow(cur, p)
+        if k in checkpoints and not ring.coprime(ring.sub(cur, x)):
+            return False
     return cur == x
-
-
-def _unit_vectors(d: int) -> Iterator[tuple]:
-    for j in range(d):
-        yield tuple(1 if i == j else 0 for i in range(d))
 
 
 def _digits(n: int, p: int, d: int) -> tuple:
@@ -144,7 +317,7 @@ def _find_modulus(p: int, d: int) -> tuple:
         if enc % p == 0:
             continue  # x divides it
         cand = _digits(enc, p, d) + (1,)
-        if _is_irreducible(cand, p):
+        if _is_irreducible(_make_ring(cand, p)):
             return cand
     raise AssertionError("no irreducible polynomial found")  # impossible
 
@@ -187,13 +360,14 @@ class _Core:
         self.modulus = tuple(c % p for c in modulus) if modulus else _find_modulus(p, d)
         if len(self.modulus) != d + 1 or self.modulus[d] != 1:
             raise ValueError("modulus must be monic of the tower degree")
-        if modulus and not _is_irreducible(self.modulus, p):
+        self.ring = _ring(self.modulus, p)
+        if modulus and not _is_irreducible(self.ring):
             raise ValueError("modulus is reducible")
         self.alpha_coeffs = self._find_primitive()
         self.trace_form = self._trace_form()
+        self._trace = self.ring.linear_form(self.trace_form)
         self._seq: np.ndarray | None = None
         self._trace_by_log: np.ndarray | None = None
-        self._window_forms: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._succ_log: np.ndarray | None = None
         self.cache: dict = {}
@@ -202,37 +376,38 @@ class _Core:
 
     def _find_primitive(self) -> tuple:
         """Smallest primitive element under the integer encoding."""
-        p, d, r = self.p, self.d, self.r
-        one = (1,) + (0,) * (d - 1)
+        ring, p, d, r = self.ring, self.p, self.d, self.r
         if r == 2:
-            return one
+            return ring.unpack(1)
         checks = [(r - 1) // ell for ell in numtheory.factorize(r - 1)]
         # past GF(p) itself, encodings below p are GF(p), whose orders divide
         # p - 1 < r - 1; in GF(p), 0 and 1 are never primitive
         for enc in range(2 if d == 1 else p, r):
-            cand = _digits(enc, p, d)
-            if all(_ppow(cand, e, self.modulus, p) != one for e in checks):
-                return cand
+            cand = ring.from_encoding(enc)
+            if all(ring.pow(cand, e) != 1 for e in checks):
+                return ring.unpack(cand)
         raise AssertionError("no primitive element found")  # impossible
 
-    def _frobenius_matrix(self) -> np.ndarray:
-        cols = [_ppow(e, self.p, self.modulus, self.p) for e in _unit_vectors(self.d)]
-        return np.array(cols, dtype=np.int64).T
+    def _trace_form(self) -> tuple:
+        """w with Tr(x) = sum_j w_j x_j mod p down to GF(p).
 
-    def _trace_form(self) -> np.ndarray:
-        """Row vector w with Tr(x) = (w @ coeffs) mod p down to GF(p)."""
-        frob = self._frobenius_matrix()
-        acc = np.eye(self.d, dtype=np.int64)
-        total = np.zeros((self.d, self.d), dtype=np.int64)
-        for _ in range(self.d):
-            total = (total + acc) % self.p
-            acc = (frob @ acc) % self.p
-        if total[1:].any():
-            raise AssertionError("trace must land in the prime field")
-        return total[0].copy()
-
-    def _trace(self, coeffs: tuple) -> int:
-        return int(self.trace_form @ np.array(coeffs, dtype=np.int64)) % self.p
+        Tr(x^j) is the sum of y^j over the d conjugates y = x^(p^i) of x,
+        and must be a constant.
+        """
+        ring, d = self.ring, self.d
+        conj = [1 << ring.slot]  # x, then x^p, ..., x^(p^(d-1))
+        for _ in range(d - 1):
+            conj.append(ring.pow(conj[-1], self.p))
+        form = []
+        powers = [1] * d
+        for j in range(d):
+            if j:
+                powers = [ring.mul(a, y) for a, y in zip(powers, conj)]
+            total = ring.sum(powers)
+            if total >> ring.slot:
+                raise AssertionError("trace must land in the prime field")
+            form.append(total)
+        return tuple(form)
 
     def _sequence(self) -> np.ndarray:
         """t[k] = Tr(alpha^k) for 0 <= k < r - 1 + d, by jump doubling.
@@ -250,15 +425,15 @@ class _Core:
         if self._seq is None:
             p, d = self.p, self.d
             total = self.r - 1 + d
-            head = []
-            x = (1,) + (0,) * (d - 1)
+            ring, head = self.ring, []
+            x, alpha = 1, ring.pack(self.alpha_coeffs)
             for _ in range(2 * d):
                 head.append(self._trace(x))
-                x = _pmul(x, self.alpha_coeffs, self.modulus, p)
+                x = ring.mul(x, alpha)
             c = _solve_mod([head[i : i + d] for i in range(d)], head[d:], p)
-            minpoly = tuple(-ci % p for ci in c) + (1,)
+            mring = _make_ring(tuple(-ci % p for ci in c) + (1,), p)
             # the residue of X modulo the minimal polynomial of alpha
-            gen = (0, 1) + (0,) * (d - 2) if d > 1 else (c[0],)
+            gen = 1 << mring.slot if d > 1 else c[0]
             t = np.empty(total, dtype=np.min_scalar_type(p - 1))
             t[: 2 * d] = head
             scratch = np.min_scalar_type(d * (p - 1) ** 2)
@@ -266,24 +441,24 @@ class _Core:
             acc = np.empty(width, dtype=scratch)
             term = np.empty(width, dtype=scratch)
             n = 2 * d
-            power = _ppow(gen, n, minpoly, p)
-            back = _ppow(gen, self.r - d, minpoly, p)  # X^(1-d), as X^(r-1) = 1
+            power = mring.pow(gen, n)
+            back = mring.pow(gen, self.r - d)  # X^(1-d), as X^(r-1) = 1
             while n < total:
                 take = min(n - d + 1, total - n)
-                terms = [(i, a) for i, a in enumerate(power) if a]
+                # alpha^n is not zero, so it has a first nonzero coefficient
+                (i0, a0), *terms = [(i, a) for i, a in enumerate(mring.unpack(power)) if a]
                 for lo in range(0, take, width):
                     size = min(width, take - lo)
                     # t[lo + i + j] for i < d and j < size lies below n, so is known
                     block, prod = acc[:size], term[:size]
-                    block[:] = 0
+                    np.multiply(t[lo + i0 : lo + i0 + size], a0, out=block, dtype=scratch)
                     for i, a in terms:
                         src = t[lo + i : lo + i + size]
                         block += src if a == 1 else np.multiply(src, a, out=prod, dtype=scratch)
-                    block %= p
-                    t[n + lo : n + lo + size] = block
+                    np.remainder(block, p, out=t[n + lo : n + lo + size], casting="unsafe")
                 n += take
                 if n < total:
-                    power = _pmul(_pmul(power, power, minpoly, p), back, minpoly, p)
+                    power = mring.mul(mring.sqr(power), back)
             if not (t[self.r - 1 :] == t[:d]).all():
                 raise AssertionError("trace sequence must close with period r - 1")
             self._seq = t
@@ -310,18 +485,14 @@ class _Core:
 
     def window_code(self, coeffs: tuple) -> int:
         """Window encoding sum_i Tr(alpha^i x) p^i of x given by its coefficients."""
-        if self._window_forms is None:
-            # row i is the linear form x -> Tr(alpha^i x) on coefficient columns
-            mult = np.array(
-                [_pmul(self.alpha_coeffs, e, self.modulus, self.p) for e in _unit_vectors(self.d)],
-                dtype=np.int64,
-            ).T
-            rows = [self.trace_form]
-            for _ in range(self.d - 1):
-                rows.append(rows[-1] @ mult % self.p)
-            self._window_forms = np.array(rows, dtype=np.int64)
-        window = (self._window_forms @ np.array(coeffs, dtype=np.int64)) % self.p
-        return int(window @ self.p ** np.arange(self.d, dtype=np.int64))
+        ring = self.ring
+        x, alpha = ring.pack(coeffs), ring.pack(self.alpha_coeffs)
+        code, scale = 0, 1
+        for _ in range(self.d):
+            code += self._trace(x) * scale
+            scale *= self.p
+            x = ring.mul(x, alpha)
+        return code
 
     # -- whole-field arrays, all lazy
 

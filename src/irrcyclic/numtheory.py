@@ -53,8 +53,12 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+@functools.lru_cache(maxsize=256)
 def require_prime(n: int) -> None:
-    """Refuse a parameter n that must be prime and is not."""
+    """Refuse a parameter n that must be prime and is not.
+
+    Memoized: a sweep asks about the same few primes once per instance, and
+    a refusal is never cached, so it raises on every call."""
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
 

@@ -39,9 +39,14 @@ from .errors import (
 
 
 class CodeSpec(_Record):
-    """Validated parameters of one irreducible cyclic code, plus derived facts."""
+    """Validated parameters of one irreducible cyclic code, plus derived facts.
 
-    __slots__ = ("p", "s", "m", "N", "q", "r", "n", "N1", "m0", "kernel_size")
+    The weight divisor and the weight bounds are derived once, here, for
+    `divisibility`, `bounds` and the checks of every distribution of the code.
+    """
+
+    __slots__ = ("p", "s", "m", "N", "q", "r", "n", "N1", "m0", "kernel_size",
+                 "_divisor", "_bounds")
 
     def __init__(self, p: int, s: int, m: int, N: int, q: int, r: int, n: int,
                  N1: int, m0: int, kernel_size: int):
@@ -56,6 +61,12 @@ class CodeSpec(_Record):
         set_field(self, "N1", N1)
         set_field(self, "m0", m0)
         set_field(self, "kernel_size", kernel_size)
+        set_field(self, "_divisor", (q - 1) // math.gcd(q - 1, N // N1))
+        # the square root is floored before the outer division is rounded,
+        # keeping both endpoints exact integers
+        radius = math.isqrt((N1 - 1) ** 2 * r)
+        num_lo, num_hi, den = (q - 1) * (r - radius), (q - 1) * (r + radius), q * N
+        set_field(self, "_bounds", (-(-num_lo // den), num_hi // den))
 
     @property
     def degenerate(self) -> bool:
@@ -112,20 +123,13 @@ def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -
 
 def divisibility(spec: CodeSpec) -> int:
     """Every nonzero weight is divisible by (q-1)/gcd(q-1, N/N1)."""
-    return (spec.q - 1) // math.gcd(spec.q - 1, spec.N // spec.N1)
+    return spec._divisor
 
 
 def bounds(spec: CodeSpec) -> tuple[int, int]:
-    """Closed interval guaranteed to contain every nonzero weight.
-
-    The square root is floored before the outer division is rounded, keeping
-    both endpoints exact integers.
-    """
-    radius = math.isqrt((spec.N1 - 1) ** 2 * spec.r)
-    den = spec.q * spec.N
-    num_lo = (spec.q - 1) * (spec.r - radius)
-    num_hi = (spec.q - 1) * (spec.r + radius)
-    return -(-num_lo // den), num_hi // den
+    """Closed interval guaranteed to contain every nonzero weight:
+    (q-1)(r -+ floor(sqrt((N1-1)^2 r))) / (qN), rounded inward."""
+    return spec._bounds
 
 
 def is_constant_weight(spec: CodeSpec) -> bool:
@@ -180,7 +184,7 @@ class WeightDistribution(_Record):
     def __init__(self, spec: CodeSpec, entries: tuple[tuple[int, int], ...], method: str):
         last = 0
         total = 0
-        div = divisibility(spec)
+        div = spec._divisor
         for w, count in entries:
             if not (w > last and count > 0):
                 raise AssertionError("entries must be ascending with positive counts")
@@ -193,7 +197,7 @@ class WeightDistribution(_Record):
         if total != spec.q**spec.m0 - 1:
             raise AssertionError("counts must cover all nonzero codewords")
         if entries:
-            lo, hi = bounds(spec)
+            lo, hi = spec._bounds
             if not (lo <= entries[0][0] and entries[-1][0] <= hi):
                 raise AssertionError("weights violate the bound theorem")
         set_field = object.__setattr__

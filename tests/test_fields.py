@@ -251,6 +251,72 @@ def test_field_arrays_with_modulus_override(p, s, m, modulus):
     _check_field(tower, range(tower.r - 1))
 
 
+# ---------------------------------------------------------------------------
+# an independent reference: schoolbook arithmetic on coefficient tuples
+
+
+def _ref_mul(a, b, modulus, p):
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for i in range(2 * d - 2, d - 1, -1):
+        c = prod[i] % p
+        # x^i = -x^(i-d) * modulus[<d] since the modulus is monic
+        for j in range(d):
+            prod[i - d + j] -= c * modulus[j]
+        prod[i] = 0
+    return tuple(v % p for v in prod[:d])
+
+
+def _ref_pow(a, e, modulus, p):
+    out = (1,) + (0,) * (len(a) - 1)
+    for _ in range(e.bit_length()):
+        if e & 1:
+            out = _ref_mul(out, a, modulus, p)
+        a = _ref_mul(a, a, modulus, p)
+        e >>= 1
+    return out
+
+
+def _ref_gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over GF(p), on ascending coefficient lists."""
+    def strip(v):
+        v = [c % p for c in v]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    a, b = strip(a), strip(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            top, off = a[-1] * inv, len(a) - len(b)
+            a = strip([c - top * b[i - off] if i >= off else c for i, c in enumerate(a)])
+        a, b = b, a
+    return len(a) - 1
+
+
+def _reference_modulus(p, d):
+    """The plain scan: the smallest monic f of degree d under the integer
+    encoding with gcd(f, x^(p^k) - x) = 1 for every k <= d/2 (Ben-Or)."""
+    if d == 1:
+        return (0, 1)
+    for enc in range(p**d):
+        f = fields._digits(enc, p, d) + (1,)
+        x = (0, 1) + (0,) * (d - 2)
+        cur = x
+        for _ in range(d // 2):
+            cur = _ref_pow(cur, p, f, p)
+            diff = [(c - y) % p for c, y in zip(cur, x)]
+            if _ref_gcd_degree(list(f), diff, p) != 0:
+                break
+        else:
+            return f
+    raise AssertionError("no irreducible polynomial found")
+
+
 def _reference_primitive(core):
     """The plain scan: smallest encoding from 2 up with no power (r-1)/ell equal to one."""
     one = (1,) + (0,) * (core.d - 1)
@@ -259,18 +325,67 @@ def _reference_primitive(core):
     checks = [(core.r - 1) // ell for ell in numtheory.factorize(core.r - 1)]
     for enc in range(2, core.r):
         cand = fields._digits(enc, core.p, core.d)
-        if all(fields._ppow(cand, e, core.modulus, core.p) != one for e in checks):
+        if all(_ref_pow(cand, e, core.modulus, core.p) != one for e in checks):
             return cand
     raise AssertionError("no primitive element found")
 
 
+def _reference_trace_form(core):
+    """Tr(x^j) as the sum of the d Frobenius conjugates of x^j, each a constant."""
+    p, d = core.p, core.d
+    form = []
+    for j in range(d):
+        term = tuple(int(i == j) for i in range(d))
+        total = [0] * d
+        for _ in range(d):
+            total = [(a + b) % p for a, b in zip(total, term)]
+            term = _ref_pow(term, p, core.modulus, p)
+        assert not any(total[1:])
+        form.append(total[0])
+    return tuple(form)
+
+
+def _check_searches(core):
+    assert core.modulus == _reference_modulus(core.p, core.d)
+    assert core.alpha_coeffs == _reference_primitive(core)
+    assert core.trace_form == _reference_trace_form(core)
+
+
+def test_tower_searches_match_the_reference():
+    # every field up to 2^14: the fields of the criterion-4 sweep
+    for p, d in _prime_powers(1 << 14):
+        _check_searches(_Core(p, d))
+
+
+@pytest.mark.parametrize("p,d", [(2, 20), (11, 6), (1031, 2)], ids=["2-20", "11-6", "1031-2"])
+def test_tower_searches_match_the_reference_on_verify_fields(p, d):
+    _check_searches(_Core(p, d))
+
+
 def test_primitive_element_matches_the_plain_scan():
-    cores = [_Core(p, d) for p, d in _prime_powers(1 << 12)]
-    cores.append(_Core(1031, 2))
-    cores += [_Core(2, 6, (1, 0, 0, 1, 0, 0, 1)), _Core(3, 4, (2, 0, 1, 0, 1)),
-              _Core(2, 4, (1, 0, 0, 1, 1))]
+    cores = [_Core(2, 6, (1, 0, 0, 1, 0, 0, 1)), _Core(3, 4, (2, 0, 1, 0, 1)),
+             _Core(2, 4, (1, 0, 0, 1, 1))]
     for core in cores:
         assert core.alpha_coeffs == _reference_primitive(core), (core.p, core.d, core.modulus)
+        assert core.trace_form == _reference_trace_form(core)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 1031, 65537])
+def test_products_and_powers_match_the_reference(p):
+    # any monic modulus will do, irreducible or not: both sides compute in
+    # GF(p)[x] / (modulus)
+    rng = random.Random(p)
+    for d in range(1, 22):
+        for _ in range(4):
+            modulus = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            a, b = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(2))
+            assert fields._pmul(a, b, modulus, p) == _ref_mul(a, b, modulus, p)
+            for e in (0, 1, 2, p, rng.randrange(1 << 40)):
+                assert fields._ppow(a, e, modulus, p) == _ref_pow(a, e, modulus, p)
+        # the largest coefficients fill every slot of a product
+        top = (p - 1,) * d
+        modulus = top + (1,)
+        assert fields._pmul(top, top, modulus, p) == _ref_mul(top, top, modulus, p)
 
 
 def test_non_primitive_alpha_is_rejected():

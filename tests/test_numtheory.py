@@ -319,3 +319,14 @@ def test_solvers_return_plain_tuples():
 def test_not_prime_errors():
     with pytest.raises(NotPrime):
         nt.class_number(15)
+
+
+def test_require_prime_is_memoized_and_still_refuses():
+    nt.require_prime.cache_clear()
+    for _ in range(3):
+        nt.require_prime(65537)
+    assert nt.require_prime.cache_info().hits == 2
+    # a refusal is not cached: it raises, with the same text, every time
+    for _ in range(2):
+        with pytest.raises(NotPrime, match=r"^65535 is not prime$"):
+            nt.require_prime(65535)

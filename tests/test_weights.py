@@ -1,5 +1,8 @@
+import math
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -49,6 +52,28 @@ def test_weight_from_period():
     with pytest.raises(NonIntegralWeight) as exc:
         weights.weight_from_period(spec, -26)
     assert str(exc.value) == "period -26 gives weight 60 for CodeSpec(p=7, s=1, m=3, N=6)"
+
+
+def test_divisor_and_bounds_are_derived_once_per_spec():
+    for p, s, m in [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 3), (3, 2, 2)]:
+        r = p ** (s * m)
+        for N in (n for n in range(1, r) if (r - 1) % n == 0):
+            spec = weights.code_params(p, s, m, N)
+            q, N1 = spec.q, spec.N1
+            radius = math.isqrt((N1 - 1) ** 2 * r)
+            lo = math.ceil(Fraction((q - 1) * (r - radius), q * N))
+            hi = math.floor(Fraction((q - 1) * (r + radius), q * N))
+            assert weights.divisibility(spec) == (q - 1) // math.gcd(q - 1, N // N1)
+            assert weights.bounds(spec) == (lo, hi)
+            # a copy by pickle or by keywords derives the same values
+            for twin in (pickle.loads(pickle.dumps(spec)),
+                         weights.CodeSpec(**{f: getattr(spec, f) for f in spec._fields})):
+                assert twin == spec
+                assert weights.divisibility(twin) == weights.divisibility(spec)
+                assert weights.bounds(twin) == weights.bounds(spec)
+    # the derived values are not fields
+    assert weights.CodeSpec._fields == ("p", "s", "m", "N", "q", "r", "n", "N1", "m0",
+                                        "kernel_size")
 
 
 def test_divisibility_and_bounds_examples():
