@@ -448,7 +448,7 @@ def quadratic_char_sum(
     la2 = tower.discrete_log(a2)
     # int64 first: the sum of two narrow trace values may wrap
     vals = tr[(2 * t + la2) % (r - 1)].astype(np.int64)
-    if not a1.is_zero:
+    if a1 != tower.zero:  # discrete_log refuses a zero of another field
         la1 = tower.discrete_log(a1)
         vals = vals + tr[(t + la1) % (r - 1)]
     t0 = int(tower.trace(a0, "r->p").coeffs[0])

@@ -7,10 +7,10 @@ expressed relative to alpha.  Every whole-field array derives from one
 sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
 characteristic and top degree share the heavy per-field data (modulus,
 alpha, trace sequence, log table) through a small cache, so sweeping over
-subfield structures is cheap.  A tower holds alpha and its subfield
-generator as coefficient tuples and builds the elements on access, so no
-tower is in a reference cycle: a field the cache evicts is freed at once,
-and the cache's size bound is a bound on memory.
+subfield structures is cheap.  The core holds alpha as a packed int and a
+tower builds its elements on access, so no tower is in a reference cycle: a
+field the cache evicts is freed at once, and the cache's size bound is a
+bound on memory.
 
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
@@ -24,16 +24,14 @@ Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
 primitive element always means smallest under that encoding.
 
-Tuples are the interface (FieldElement, the modulus, alpha); the polynomial
-arithmetic inside runs on packed ints, one kernel per case.  For p = 2 bit i
-of the int is the coefficient of x^i, so the int is the integer encoding
-itself, and products are shifts and XORs.  For odd p coefficient i fills a
-slot of bits [i*W, (i+1)*W), with W the bit width of 2d(p-1)^2, so a product
-is one integer multiplication (Kronecker substitution) followed by a fold of
-the high slots through the rows x^(d+j) mod f and a reduction of each slot
-mod p.  The modulus and primitive-element searches, the trace form, the head
-of the trace sequence and its power steps, and window codes stay packed
-across their loops; `_pmul` and `_ppow` convert at the tuple boundary.
+A residue, FieldElement and alpha included, is one packed int of its
+field's ring, with one kernel per case; the coefficient tuple is only a
+view.  For p = 2 bit i of the int is the coefficient of x^i, so the int is
+the integer encoding itself, and products are shifts and XORs.  For odd p
+coefficient i fills a slot of bits [i*W, (i+1)*W), with W the bit width of
+2d(p-1)^2, so a product is one integer multiplication (Kronecker
+substitution) followed by a fold of the high slots through the rows
+x^(d+j) mod f and a reduction of each slot mod p.
 """
 
 from __future__ import annotations
@@ -242,24 +240,6 @@ def _make_ring(modulus: tuple, p: int) -> _Ring:
     return _Ring2(modulus) if p == 2 else _RingP(modulus, p)
 
 
-@functools.lru_cache(maxsize=32)
-def _ring(modulus: tuple, p: int) -> _Ring:
-    """The ring of modulus over GF(p), shared by the tuple entry points."""
-    return _make_ring(modulus, p)
-
-
-def _pmul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    """a * b modulo the monic modulus, on coefficient tuples."""
-    ring = _ring(modulus, p)
-    return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
-
-
-def _ppow(a: tuple, e: int, modulus: tuple, p: int) -> tuple:
-    """a^e modulo the monic modulus, on coefficient tuples."""
-    ring = _ring(modulus, p)
-    return ring.unpack(ring.pow(ring.pack(a), e))
-
-
 def _pstrip(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
@@ -360,10 +340,10 @@ class _Core:
         self.modulus = tuple(c % p for c in modulus) if modulus else _find_modulus(p, d)
         if len(self.modulus) != d + 1 or self.modulus[d] != 1:
             raise ValueError("modulus must be monic of the tower degree")
-        self.ring = _ring(self.modulus, p)
+        self.ring = _make_ring(self.modulus, p)
         if modulus and not _is_irreducible(self.ring):
             raise ValueError("modulus is reducible")
-        self.alpha_coeffs = self._find_primitive()
+        self.alpha = self._find_primitive()
         self.trace_form = self._trace_form()
         self._trace = self.ring.linear_form(self.trace_form)
         self._seq: np.ndarray | None = None
@@ -374,18 +354,18 @@ class _Core:
 
     # -- construction helpers
 
-    def _find_primitive(self) -> tuple:
-        """Smallest primitive element under the integer encoding."""
+    def _find_primitive(self) -> int:
+        """Smallest primitive element under the integer encoding, packed."""
         ring, p, d, r = self.ring, self.p, self.d, self.r
         if r == 2:
-            return ring.unpack(1)
+            return 1
         checks = [(r - 1) // ell for ell in numtheory.factorize(r - 1)]
         # past GF(p) itself, encodings below p are GF(p), whose orders divide
         # p - 1 < r - 1; in GF(p), 0 and 1 are never primitive
         for enc in range(2 if d == 1 else p, r):
             cand = ring.from_encoding(enc)
             if all(ring.pow(cand, e) != 1 for e in checks):
-                return ring.unpack(cand)
+                return cand
         raise AssertionError("no primitive element found")  # impossible
 
     def _trace_form(self) -> tuple:
@@ -426,7 +406,7 @@ class _Core:
             p, d = self.p, self.d
             total = self.r - 1 + d
             ring, head = self.ring, []
-            x, alpha = 1, ring.pack(self.alpha_coeffs)
+            x, alpha = 1, self.alpha
             for _ in range(2 * d):
                 head.append(self._trace(x))
                 x = ring.mul(x, alpha)
@@ -483,15 +463,14 @@ class _Core:
                 codes += t[i : i + n]
         return codes
 
-    def window_code(self, coeffs: tuple) -> int:
-        """Window encoding sum_i Tr(alpha^i x) p^i of x given by its coefficients."""
-        ring = self.ring
-        x, alpha = ring.pack(coeffs), ring.pack(self.alpha_coeffs)
+    def window_code(self, x: int) -> int:
+        """Window encoding sum_i Tr(alpha^i x) p^i of the packed residue x."""
+        mul, alpha = self.ring.mul, self.alpha
         code, scale = 0, 1
         for _ in range(self.d):
             code += self._trace(x) * scale
             scale *= self.p
-            x = ring.mul(x, alpha)
+            x = mul(x, alpha)
         return code
 
     # -- whole-field arrays, all lazy
@@ -542,36 +521,29 @@ def _field(p: int, d: int) -> tuple[_Core, dict]:
 
 
 class FieldElement:
-    """An element of the top field of some tower."""
+    """An element of the top field of some tower: value is its packed
+    residue in the ring of the tower's core."""
 
-    __slots__ = ("tower", "coeffs")
+    __slots__ = ("tower", "value")
 
-    def __init__(self, tower: "FieldTower", coeffs: tuple):
+    def __init__(self, tower: "FieldTower", value: int):
         self.tower = tower
-        self.coeffs = coeffs
+        self.value = value
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.tower.core is not other.tower.core:
-            raise ValueError("elements live in different fields")
+    def _new(self, value: int) -> "FieldElement":
+        return FieldElement(self.tower, value)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.tower.p
-        return FieldElement(self.tower, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._new(self.tower.core.ring.sum((self.value, self.tower._residue(other))))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.tower.p
-        return FieldElement(self.tower, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._new(self.tower.core.ring.sub(self.value, self.tower._residue(other)))
 
     def __neg__(self) -> "FieldElement":
-        p = self.tower.p
-        return FieldElement(self.tower, tuple(-a % p for a in self.coeffs))
+        return self._new(self.tower.core.ring.sub(0, self.value))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        core = self.tower.core
-        return FieldElement(self.tower, _pmul(self.coeffs, other.coeffs, core.modulus, core.p))
+        return self._new(self.tower.core.ring.mul(self.value, self.tower._residue(other)))
 
     def __pow__(self, e: int) -> "FieldElement":
         core = self.tower.core
@@ -579,21 +551,25 @@ class FieldElement:
             if self.is_zero:
                 raise ZeroDivisionError("inverse of zero")
             e %= core.r - 1
-        return FieldElement(self.tower, _ppow(self.coeffs, e, core.modulus, core.p))
+        return self._new(core.ring.pow(self.value, e))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
             and self.tower.core is other.tower.core
-            and self.coeffs == other.coeffs
+            and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.tower.core), self.coeffs))
+        return hash((id(self.tower.core), self.value))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.value
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.tower.core.ring.unpack(self.value)
 
     @property
     def encoding(self) -> int:
@@ -636,7 +612,7 @@ class FieldTower:
     @property
     def alpha(self) -> FieldElement:
         """The distinguished primitive element of the top field."""
-        return FieldElement(self, self.core.alpha_coeffs)
+        return FieldElement(self, self.core.alpha)
 
     @property
     def subfield_generator(self) -> FieldElement:
@@ -646,21 +622,28 @@ class FieldTower:
         tower, and that cycle would outlive the field cache's eviction."""
         return self.alpha**self.subfield_embedding
 
+    def _residue(self, x: FieldElement) -> int:
+        """The packed residue of x, which must lie in this tower's field."""
+        if x.tower.core is not self.core:
+            raise ValueError("element belongs to a different field")
+        return x.value
+
     # -- constructors
 
     def element(self, coeffs) -> FieldElement:
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) != self.degree:
             raise ValueError(f"need {self.degree} coefficients")
-        return FieldElement(self, coeffs)
+        return FieldElement(self, self.core.ring.pack(coeffs))
 
     def from_encoding(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.r:
             raise ValueError("encoding out of range")
-        return FieldElement(self, _digits(enc, self.p, self.degree))
+        return FieldElement(self, self.core.ring.from_encoding(enc))
 
     def scalar(self, c: int) -> FieldElement:
-        return FieldElement(self, (c % self.p,) + (0,) * (self.degree - 1))
+        # a constant fills slot 0 alone, so it packs to itself
+        return FieldElement(self, c % self.p)
 
     @property
     def zero(self) -> FieldElement:
@@ -673,10 +656,10 @@ class FieldTower:
     def elements(self) -> Iterator[FieldElement]:
         """All r elements, zero first then powers of alpha."""
         yield self.zero
-        x, alpha = self.one, self.alpha
+        mul, alpha, x = self.core.ring.mul, self.core.alpha, 1
         for _ in range(self.r - 1):
-            yield x
-            x = x * alpha
+            yield FieldElement(self, x)
+            x = mul(x, alpha)
 
     # -- traces and logs
 
@@ -684,50 +667,47 @@ class FieldTower:
         return x ** (self.p**times)
 
     def trace(self, x: FieldElement, level: str = "r->q") -> FieldElement:
-        if x.tower.core is not self.core:
-            raise ValueError("element belongs to a different field")
+        v, ring = self._residue(x), self.core.ring
         if level == "r->p":
             steps, power = self.degree, self.p
         elif level == "r->q":
             steps, power = self.m, self.q
         elif level == "q->p":
-            if x ** self.q != x:
+            if ring.pow(v, self.q) != v:
                 raise ValueError("element is not in the middle field GF(q)")
             steps, power = self.s, self.p
         else:
             raise ValueError(f"unknown trace level {level!r}")
-        acc = x
-        cur = x
+        conj = [v]
         for _ in range(steps - 1):
-            cur = cur**power
-            acc = acc + cur
-        return acc
+            conj.append(ring.pow(conj[-1], power))
+        return FieldElement(self, ring.sum(conj))
 
     def discrete_log(self, x: FieldElement) -> int:
         """The k with alpha^k = x: a table lookup within the default enumeration
         budget, baby-step giant-step above it, so no one-off log builds a
         whole-field table."""
-        if x.is_zero:
+        v = self._residue(x)
+        if not v:
             raise ZeroHasNoLog("zero is not a power of alpha")
         if self.r <= DEFAULT_ENUM_BUDGET:
-            return int(self.core.log_table()[self.core.window_code(x.coeffs)])
+            return int(self.core.log_table()[self.core.window_code(v)])
         return self._bsgs(x)
 
     def _bsgs(self, x: FieldElement) -> int:
-        n = self.r - 1
+        mul, alpha, n = self.core.ring.mul, self.core.alpha, self.r - 1
         step = math.isqrt(n - 1) + 1
-        baby = {}
-        cur, alpha = self.one, self.alpha
+        baby, cur = {}, 1
         for j in range(step):
-            baby.setdefault(cur.coeffs, j)
-            cur = cur * alpha
-        giant = alpha ** (n - step)  # alpha^(-step)
-        cur = x
+            baby.setdefault(cur, j)
+            cur = mul(cur, alpha)
+        giant = self.core.ring.pow(alpha, n - step)  # alpha^(-step)
+        cur = x.value
         for i in range(step + 1):
-            j = baby.get(cur.coeffs)
+            j = baby.get(cur)
             if j is not None:
                 return (i * step + j) % n
-            cur = cur * giant
+            cur = mul(cur, giant)
         raise AssertionError("discrete log search failed")  # impossible for x != 0
 
     # -- vectorized whole-field views

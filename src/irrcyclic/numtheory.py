@@ -276,11 +276,8 @@ def mult_order(a: int, modulus: int, *, divisor_of: int | None = None) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p."""
-    t = pow(a % p, (p - 1) // 2, p)
-    if t == 0:
-        return 0
-    return 1 if t == 1 else -1
+    """Legendre symbol (a/p) for odd prime p: the Jacobi symbol of a prime."""
+    return _jacobi(a, p)
 
 
 def semiprimitive_j(p: int, N: int, *, divisor_of: int | None = None) -> int | None:

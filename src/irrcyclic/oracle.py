@@ -106,7 +106,7 @@ def count_Z(
 ) -> int:
     """Number of x in GF(r) with Tr(a * x^N) = 0 down to GF(q), by enumeration."""
     require_enum_size("solution count", spec.r, budget)
-    if a.is_zero:
+    if a == tower.zero:  # discrete_log refuses a zero of another field
         return spec.r
     # a * x^N over nonzero x hits each log = da (mod N) exactly N times
     zero = tower.traceq_zero_by_log()

@@ -368,10 +368,10 @@ def prime_power_distribution(q: int, t: int, ell: int, jj: int) -> WeightDistrib
     (anything else raises OrderNotPrimePower); the code is C(q^m - 1, N) with
     m that order and N = (q^m - 1) / t^jj.
     """
-    qfac = numtheory.factorize(q)
-    if len(qfac) != 1:
+    power = numtheory.prime_power(q)
+    if power is None:
         raise NotPrime(f"q = {q} is not a prime power")
-    (p, s), = qfac.items()
+    p, s = power
     if t == 2:
         raise EvenPrime("the length prime t must be odd")
     numtheory.require_prime(t)

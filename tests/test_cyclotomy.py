@@ -423,6 +423,15 @@ def test_quadratic_char_sum_needs_odd_characteristic():
         cyclotomy.quadratic_char_sum(t, t.one, t.zero, t.zero)
 
 
+def test_quadratic_char_sum_refuses_a_foreign_element():
+    t = build_tower(3, 1, 2)
+    other = build_tower(2, 1, 4)
+    for args in [(other.alpha, t.zero, t.zero), (t.one, other.alpha, t.zero),
+                 (t.one, other.zero, t.zero), (t.one, t.zero, other.alpha)]:
+        with pytest.raises(ValueError, match="element belongs to a different field"):
+            cyclotomy.quadratic_char_sum(t, *args)
+
+
 def test_quadratic_char_sum_shifts():
     # completing the square: adding a linear term only rotates the sum
     t = build_tower(5, 1, 2)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from irrcyclic.errors import DEFAULT_ENUM_BUDGET, SizeBudgetExceeded, ZeroHasNoLog
+from irrcyclic.errors import DEFAULT_ENUM_BUDGET, TOWER_CAP, SizeBudgetExceeded, ZeroHasNoLog
 from irrcyclic.fields import FieldTower, _Core, build_tower
 from irrcyclic import fields, numtheory
 
@@ -88,7 +88,7 @@ def test_towers_are_cached():
 
 
 def test_evicted_field_is_freed_without_gc():
-    # towers hold coefficient tuples, not elements that point back at them,
+    # towers hold packed ints, not elements that point back at them,
     # so a field the cache evicts goes by refcount alone
     fields._field.cache_clear()
     was_enabled = gc.isenabled()
@@ -207,6 +207,64 @@ def test_elements_cross_tower_guard():
     b = build_tower(3, 1, 2)
     with pytest.raises(ValueError):
         _ = a.alpha + b.alpha
+    # another characteristic, and GF(16) again on another modulus: neither
+    # element is of t's field, a zero of another field included
+    t = build_tower(2, 1, 4)
+    rebased = build_tower(2, 1, 4, modulus=(1, 0, 0, 1, 1))
+    for x in (b.alpha, rebased.alpha, rebased.zero):
+        for op in (t.discrete_log, t.trace, lambda x: t.alpha + x, lambda x: t.alpha - x,
+                   lambda x: t.alpha * x):
+            with pytest.raises(ValueError, match="element belongs to a different field"):
+                op(x)
+    with pytest.raises(ValueError, match="unknown trace level 'p->r'"):
+        t.trace(t.alpha, "p->r")
+    # a tower of another subfield degree on the same core is the same field
+    u = build_tower(2, 2, 2)
+    assert u.core is t.core
+    assert t.discrete_log(u.alpha) == 1
+    assert t.trace(u.alpha, "r->p") == t.trace(t.alpha, "r->p")
+    assert t.alpha * u.alpha == t.alpha ** 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 1031])
+def test_element_api_matches_the_reference(p):
+    # every field GF(p^d) with d <= 8 under the tower cap, against
+    # coefficient-wise arithmetic mod p and the schoolbook products below
+    rng = random.Random(p)
+    for d in range(1, 9):
+        if p**d > TOWER_CAP:
+            break
+        t = build_tower(p, 1, d)
+        modulus, n = t.core.modulus, t.r - 1
+        # the same field split as GF(p^d) over itself: another tower, one core
+        twin = build_tower(p, d, 1)
+        with pytest.raises(ValueError, match=f"need {d} coefficients"):
+            t.element((1,) * (d + 1))
+        for enc in (-1, p**d):
+            with pytest.raises(ValueError, match="encoding out of range"):
+                t.from_encoding(enc)
+        for _ in range(6):
+            # element reduces any integer coefficients mod p
+            raw = [tuple(rng.randrange(-2 * p, 2 * p) for _ in range(d)) for _ in range(2)]
+            a, b = (tuple(c % p for c in v) for v in raw)
+            x, y = (t.element(v) for v in raw)
+            assert (x.coeffs, y.coeffs) == (a, b)
+            assert (x + y).coeffs == tuple((u + v) % p for u, v in zip(a, b))
+            assert (x - y).coeffs == tuple((u - v) % p for u, v in zip(a, b))
+            assert (-x).coeffs == tuple(-u % p for u in a)
+            assert (x * y).coeffs == _ref_mul(a, b, modulus, p)
+            for e in (0, 1, 2, p, rng.randrange(1 << 40)):
+                assert (x**e).coeffs == _ref_pow(a, e, modulus, p)
+            if not x.is_zero:
+                e = rng.randrange(1, 1 << 40)
+                assert (x**-e).coeffs == _ref_pow(a, -e % n, modulus, p)
+                assert x**-e * x**e == t.one
+            enc = sum(c * p**i for i, c in enumerate(a))
+            assert x.encoding == enc
+            assert t.from_encoding(enc) == x and t.from_encoding(enc).coeffs == a
+            # equal elements of two towers on one core are one set member
+            assert twin.element(a) == x and hash(twin.element(a)) == hash(x)
+            assert len({x, twin.element(a), twin.from_encoding(enc)}) == 1
 
 
 def test_traceq_zero_by_log_matches_trace():
@@ -347,7 +405,7 @@ def _reference_trace_form(core):
 
 def _check_searches(core):
     assert core.modulus == _reference_modulus(core.p, core.d)
-    assert core.alpha_coeffs == _reference_primitive(core)
+    assert core.alpha == core.ring.pack(_reference_primitive(core))
     assert core.trace_form == _reference_trace_form(core)
 
 
@@ -366,7 +424,8 @@ def test_primitive_element_matches_the_plain_scan():
     cores = [_Core(2, 6, (1, 0, 0, 1, 0, 0, 1)), _Core(3, 4, (2, 0, 1, 0, 1)),
              _Core(2, 4, (1, 0, 0, 1, 1))]
     for core in cores:
-        assert core.alpha_coeffs == _reference_primitive(core), (core.p, core.d, core.modulus)
+        want = core.ring.pack(_reference_primitive(core))
+        assert core.alpha == want, (core.p, core.d, core.modulus)
         assert core.trace_form == _reference_trace_form(core)
 
 
@@ -378,26 +437,30 @@ def test_products_and_powers_match_the_reference(p):
     for d in range(1, 22):
         for _ in range(4):
             modulus = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            ring = fields._make_ring(modulus, p)
             a, b = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(2))
-            assert fields._pmul(a, b, modulus, p) == _ref_mul(a, b, modulus, p)
+            pa, pb = ring.pack(a), ring.pack(b)
+            assert ring.unpack(ring.mul(pa, pb)) == _ref_mul(a, b, modulus, p)
             for e in (0, 1, 2, p, rng.randrange(1 << 40)):
-                assert fields._ppow(a, e, modulus, p) == _ref_pow(a, e, modulus, p)
+                assert ring.unpack(ring.pow(pa, e)) == _ref_pow(a, e, modulus, p)
         # the largest coefficients fill every slot of a product
         top = (p - 1,) * d
         modulus = top + (1,)
-        assert fields._pmul(top, top, modulus, p) == _ref_mul(top, top, modulus, p)
+        ring = fields._make_ring(modulus, p)
+        ptop = ring.pack(top)
+        assert ring.unpack(ring.mul(ptop, ptop)) == _ref_mul(top, top, modulus, p)
 
 
 def test_non_primitive_alpha_is_rejected():
     # x^3 has order 5 in GF(16) = GF(2)[x]/(x^4 + x + 1): its trace sequence
     # still closes with period 15, but its windows repeat
     core = _Core(2, 4)
-    core.alpha_coeffs = (0, 0, 0, 1)
+    core.alpha = core.ring.pack((0, 0, 0, 1))
     with pytest.raises(AssertionError, match="biject"):
         core.log_table()
     # x^5 lies in GF(4), so its trace sequence has linear complexity 2 < 4
     core = _Core(2, 4)
-    core.alpha_coeffs = (0, 1, 1, 0)
+    core.alpha = core.ring.pack((0, 1, 1, 0))
     with pytest.raises(AssertionError, match="linear complexity"):
         core.trace_by_log()
 
@@ -406,7 +469,7 @@ def test_field_checks_hold_under_optimize():
     code = (
         "from irrcyclic.fields import _Core\n"
         "core = _Core(2, 4)\n"
-        "core.alpha_coeffs = (0, 0, 0, 1)\n"
+        "core.alpha = core.ring.pack((0, 0, 0, 1))\n"
         "core.log_table()\n"
     )
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -424,6 +487,13 @@ def test_modulus_override_validated():
 def test_tower_budget():
     with pytest.raises(SizeBudgetExceeded):
         build_tower(2, 1, 40)
+
+
+def test_element_repr():
+    t = build_tower(3, 1, 4)
+    assert repr(t.element((2, 1, 0, 2))) == "<2 + x + 2*x^3 in GF(3^4)>"
+    assert repr(t.element((0, 0, 1, 0))) == "<x^2 in GF(3^4)>"
+    assert repr(t.zero) == "<0 in GF(3^4)>"
 
 
 def test_scalar_and_one():

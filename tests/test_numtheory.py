@@ -178,11 +178,13 @@ def test_mult_order_divisor_hint():
 
 
 def test_legendre():
-    for p in (3, 5, 7, 11, 13):
+    # every odd prime below 100, with a over two periods either side of zero,
+    # so negative a and the multiples of p are covered
+    for p in (q for q in range(3, 100) if nt.is_prime(q)):
         squares = {pow(a, 2, p) for a in range(1, p)}
-        for a in range(1, p):
-            want = 1 if a % p in squares else -1
-            assert nt.legendre(a, p) == want
+        for a in range(-2 * p, 2 * p + 1):
+            want = 0 if a % p == 0 else 1 if a % p in squares else -1
+            assert nt.legendre(a, p) == want, (a, p)
         assert nt.legendre(p, p) == 0
 
 

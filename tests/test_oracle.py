@@ -72,6 +72,15 @@ def test_count_Z_example():
         oracle.count_Z(spec, t, t.one, budget=80)
 
 
+def test_count_Z_refuses_a_foreign_element():
+    spec = weights.code_params(3, 1, 2, 2)
+    t = build_tower(3, 1, 2)
+    other = build_tower(2, 1, 4)
+    for a in (other.alpha, other.zero):
+        with pytest.raises(ValueError, match="element belongs to a different field"):
+            oracle.count_Z(spec, t, a)
+
+
 def test_count_Z_matches_direct():
     spec = weights.code_params(2, 2, 3, 9)
     t = build_tower(2, 2, 3)

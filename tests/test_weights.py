@@ -2,6 +2,7 @@ import math
 import pickle
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,16 @@ def test_prime_power_distribution_examples():
     assert dist.counts_by_weight() == {3: 3}
     with pytest.raises(OrderNotPrimePower):
         weights.prime_power_distribution(2, 3, 2, 1)
+
+
+def test_prime_power_distribution_rejects_a_composite_q_unfactored():
+    # a product of two Mersenne primes, which factorize does not split in
+    # any useful time: q must be refused by the prime-power test alone
+    q = (2**89 - 1) * (2**107 - 1)
+    start = time.perf_counter()
+    with pytest.raises(NotPrime, match=f"q = {q} is not a prime power"):
+        weights.prime_power_distribution(q, 3, 1, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_check_period_properties():
