@@ -8,8 +8,7 @@ survive any JSON reader.
 
 Only the enumerations of `verify`, `dist` and `periods` load numpy, after their
 size gates; a closed form or a size refusal never does.  Nor does a closed
-form load `dataclasses` or `fractions`, except that thm22 (index two) loads
-`fractions`.
+form load `dataclasses` or rational arithmetic: it runs on integers alone.
 """
 
 from __future__ import annotations
@@ -173,10 +172,13 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import oracle
-
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
+    # the oracle's own gates, in its order, before it loads numpy
+    errors.require_enum_size("oracle", spec.r, args.budget)
+    errors.require_tower_size(spec.p, spec.s * spec.m)
+    from . import oracle
+
     rep = _base_report(spec)
     rep.divisor = weights.divisibility(spec)
     rep.bounds = weights.bounds(spec)
@@ -395,6 +397,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a valid code may print numbers past Python's default 4300-digit limit;
+    # lifted only after parsing, so an oversize argument is still refused
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (errors.Unsupported, errors.SizeBudgetExceeded) as exc:
@@ -406,6 +413,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def entry() -> None:

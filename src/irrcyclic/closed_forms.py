@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from typing import TYPE_CHECKING
 
 from . import numtheory
 from .errors import (
@@ -21,11 +20,6 @@ from .errors import (
     _Record,
     require_divisor,
 )
-
-if TYPE_CHECKING:
-    # for annotations only: each function that builds a Fraction imports it,
-    # so that the other closed forms never load fractions (and decimal)
-    from fractions import Fraction
 
 
 class QuadraticValue:
@@ -110,11 +104,10 @@ class QuadraticValue:
     def conjugate(self) -> "QuadraticValue":
         return QuadraticValue(self.half_x, -self.half_y, self.D)
 
-    def norm(self) -> Fraction:
-        """self * conjugate(self), always rational."""
-        from fractions import Fraction
-
-        return Fraction(self.half_x**2 - self.D * self.half_y**2, 4)
+    def norm(self) -> int:
+        """self * conjugate(self), always an integer: the halves share parity,
+        and both are even unless D = 1 (mod 4)."""
+        return (self.half_x**2 - self.D * self.half_y**2) // 4
 
     @property
     def is_rational(self) -> bool:
@@ -387,16 +380,15 @@ def semiprimitive_periods(p: int, j: int, gamma: int, N: int) -> SemiprimitivePe
 class IndexTwoParams(_Record):
     """Everything needed to evaluate the index-two weight formula.
 
-    P, A, B are indexed 0..lam+1; entries 0 and lam+1 are zero by convention
-    so the telescoping class sums can reference one slot past each end.
-    gauss_sum(t) = P[t] * (A[t] + B[t] * sqrt(-l)) for t = 1..lam.
+    G holds the Gauss sums over sqrt(-l), indexed 0..lam+1; entries 0 and
+    lam+1 are zero by convention so the telescoping class sums can reference
+    one slot past each end.  gauss_sum(t) = G[t] for t = 1..lam.
     """
 
-    __slots__ = ("p", "l", "lam", "s", "N1", "f", "h", "a", "b", "P", "A", "B")
+    __slots__ = ("p", "l", "lam", "s", "N1", "f", "h", "a", "b", "G")
 
     def __init__(self, p: int, l: int, lam: int, s: int, N1: int, f: int, h: int,
-                 a: int, b: int, P: tuple[int, ...], A: tuple[Fraction, ...],
-                 B: tuple[Fraction, ...]):
+                 a: int, b: int, G: tuple[QuadraticValue, ...]):
         set_field = object.__setattr__
         set_field(self, "p", p)
         set_field(self, "l", l)
@@ -407,21 +399,13 @@ class IndexTwoParams(_Record):
         set_field(self, "h", h)
         set_field(self, "a", a)
         set_field(self, "b", b)
-        set_field(self, "P", P)
-        set_field(self, "A", A)
-        set_field(self, "B", B)
+        set_field(self, "G", G)
 
     def gauss_sum(self, t: int) -> QuadraticValue:
-        x = 2 * self.A[t] * self.P[t]
-        y = 2 * self.B[t] * self.P[t]
-        if x.denominator != 1 or y.denominator != 1:
-            raise AssertionError("Gauss sum halves must be integers")
-        return QuadraticValue(int(x), int(y), -self.l)
+        return self.G[t]
 
     def class_sum(self, i: int) -> int:
         """The exact character-sum correction S_i entering the weight of class i."""
-        from fractions import Fraction
-
         if not 0 <= i < self.N1:
             raise ValueError("class index out of range")
         if i == 0:
@@ -429,18 +413,13 @@ class IndexTwoParams(_Record):
         else:
             depth = numtheory.valuation(i, self.l)
             unit = i // self.l**depth
-        total = Fraction(0)
-        for t in range(depth + 1):
-            total += self.l**t * (self.A[t] * self.P[t] - self.A[t + 1] * self.P[t + 1])
-        total += (
-            numtheory.legendre(unit, self.l)
-            * self.l ** (depth + 1)
-            * self.P[depth + 1]
-            * self.B[depth + 1]
-        )
-        if total.denominator != 1:
+        G, l = self.G, self.l
+        # twice S_i, from the integer halves of the Gauss sums
+        twice = sum(l**t * (G[t].half_x - G[t + 1].half_x) for t in range(depth + 1))
+        twice += numtheory.legendre(unit, l) * l ** (depth + 1) * G[depth + 1].half_y
+        if twice % 2:
             raise AssertionError("index-two class sum must be an integer")
-        return int(total)
+        return twice // 2
 
 
 def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
@@ -449,8 +428,6 @@ def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
     s is the ratio (total degree) / f where f = phi(l^lam) / 2 is the degree
     attached to the full order l^lam; the caller checks that ratio is integral.
     """
-    from fractions import Fraction
-
     numtheory.require_prime(p)
     numtheory.require_prime(l)
     if l % 4 != 3 or l == 3:
@@ -467,21 +444,17 @@ def index2_params(p: int, l: int, lam: int, s: int) -> IndexTwoParams:
     f = (l - 1) * l ** (lam - 1) // 2
     h = numtheory.class_number(l)
     a, b = numtheory.solve_alb(p, l, h)
-    P = [0] * (lam + 2)
-    A = [Fraction(0)] * (lam + 2)
-    B = [Fraction(0)] * (lam + 2)
+    G = [QuadraticValue(0, 0, -l)] * (lam + 2)
     base = QuadraticValue(a, b, -l)
     for t in range(1, lam + 1):
         exponent = s * (f - h * l ** (lam - t))
         if exponent < 0 or exponent % 2:
             raise AssertionError("Gauss sum magnitude must be integral")
-        P[t] = (-1) ** (s - 1) * p ** (exponent // 2)
         power = base ** (s * l ** (lam - t))
-        A[t] = Fraction(power.half_x, 2)
-        B[t] = Fraction(power.half_y, 2)
-        if A[t] ** 2 + l * B[t] ** 2 != p ** (s * h * l ** (lam - t)):
+        if power.norm() != p ** (s * h * l ** (lam - t)):
             raise AssertionError("Gauss sum norm must be a power of p")
-    return IndexTwoParams(p, l, lam, s, N1, f, h, a, b, tuple(P), tuple(A), tuple(B))
+        G[t] = power * ((-1) ** (s - 1) * p ** (exponent // 2))
+    return IndexTwoParams(p, l, lam, s, N1, f, h, a, b, tuple(G))
 
 
 def index2_periods(params: IndexTwoParams) -> list[int]:
@@ -529,25 +502,15 @@ def _thm22(p: int, d: int, N: int):
     return [(eta, 1) for eta in index2_periods(index2_params(p, l, lam, d // f))]
 
 
-def _checked_roots(p: int, d: int, N: int, roots):
-    # the sum rule, and the k = 0 product rule sum eta^2 = r - (r-1)/N, which
-    # holds with -1 in class 0: true for the N and odd p of thm19 and thm21
-    r = p**d
-    if (sum(mult * eta for eta, mult in roots) != -1
-            or sum(mult * eta * eta for eta, mult in roots) != r - (r - 1) // N):
-        raise AssertionError(f"order-{N} period roots fail the sum and product rules")
-    return list(roots)
-
-
 _RULES = (
     ("thm16", lambda p, d, N: [(-1, 1)] if N == 1 else None),
     # p = -1 (mod 2): the semiprimitive case with j = 1
     ("thm18", lambda p, d, N: _semiprimitive_runs(p, 1, d // 2, 2)
         if N == 2 and d % 2 == 0 else None),
     ("thm24", _thm24),
-    ("thm19", lambda p, d, N: _checked_roots(p, d, N, _roots_order3(p, d))
+    ("thm19", lambda p, d, N: _roots_order3(p, d)
         if N == 3 and p % 3 == 1 and d % 3 == 0 else None),
-    ("thm21", lambda p, d, N: _checked_roots(p, d, N, _roots_order4(p, d))
+    ("thm21", lambda p, d, N: _roots_order4(p, d)
         if N == 4 and p % 4 == 1 and d % 4 == 0 else None),
     ("thm22", _thm22),
 )
@@ -575,9 +538,24 @@ def closed_periods(p: int, d: int, N: int) -> tuple[str, list[tuple[int, int]]] 
 
 @functools.lru_cache(maxsize=256)
 def _first_rule(p: int, d: int, N: int) -> tuple[str, tuple[tuple[int, int], ...]] | None:
-    # cached as tuples, so no caller can change what the next one is handed
+    # Every rule's runs must hold N periods with the sum rule, sum eta = -1,
+    # and the k = 0 product rule, sum eta^2 = r*theta_0 - (r-1)/N, where
+    # theta_0 = 1 when -1 lies in class 0 (p = 2 or N | (r-1)/2), else 0.
+    # Both read only the multiset, so they hold for ROOTS_ONLY rules too.
+    # The runs are cached as tuples, so no caller can change what the next
+    # one is handed.
     for tag, rule in _RULES:
-        periods = rule(p, d, N)
-        if periods is not None:
-            return tag, tuple(periods)
+        runs = rule(p, d, N)
+        if runs is None:
+            continue
+        runs = tuple(runs)
+        r = p**d
+        theta0 = p == 2 or (r - 1) // 2 % N == 0
+        if (sum(mult for _, mult in runs) != N
+                or sum(mult * eta for eta, mult in runs) != -1
+                or sum(mult * eta * eta for eta, mult in runs) != r * theta0 - (r - 1) // N):
+            raise AssertionError(
+                f"{tag}: order-{N} periods over GF({p}^{d}) fail the sum and product rules"
+            )
+        return tag, runs
     return None

@@ -26,6 +26,7 @@ from .errors import (
     EvenPrime,
     IrrationalPeriod,
     NonIntegralWeight,
+    NotCoprime,
     NotIndexTwo,
     NotPrime,
     OrderNotPrimePower,
@@ -92,17 +93,20 @@ def code_params(p: int, s: int, m: int, N: int) -> CodeSpec:
     return CodeSpec(p, s, m, N, q, r, n, N1, m0, q ** (m - m0))
 
 
+def _weight(spec: CodeSpec, num: int, what: str) -> int:
+    """num / (qN) as a weight of the code; what names the source in the refusal."""
+    den = spec.q * spec.N
+    w, rem = divmod(num, den)
+    if rem or not 0 <= w <= spec.n:
+        g = math.gcd(num, den)
+        text = str(num // g) if g == den else f"{num // g}/{den // g}"
+        raise NonIntegralWeight(f"{what} gives weight {text} for {spec}")
+    return w
+
+
 def weight_from_period(spec: CodeSpec, eta: int) -> int:
     """Weight of every codeword whose beta lies in the class with period eta."""
-    num = (spec.q - 1) * (spec.r - 1 - spec.N1 * eta)
-    w, rem = divmod(num, spec.q * spec.N)
-    if rem or not 0 <= w <= spec.n:
-        from fractions import Fraction
-
-        raise NonIntegralWeight(
-            f"period {eta} gives weight {Fraction(num, spec.q * spec.N)} for {spec}"
-        )
-    return w
+    return _weight(spec, (spec.q - 1) * (spec.r - 1 - spec.N1 * eta), f"period {eta}")
 
 
 def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -> int:
@@ -113,12 +117,8 @@ def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -
     """
     if params.N1 != spec.N1:
         raise NotIndexTwo(f"parameters are for order {params.N1}, spec has N1 = {spec.N1}")
-    from fractions import Fraction
-
-    w = Fraction(spec.q - 1, spec.N * spec.q) * (spec.r - params.class_sum(i))
-    if w.denominator != 1 or not 0 <= w <= spec.n:
-        raise NonIntegralWeight(f"index-two class {i} gives weight {w} for {spec}")
-    return int(w)
+    num = (spec.q - 1) * (spec.r - params.class_sum(i))
+    return _weight(spec, num, f"index-two class {i}")
 
 
 def divisibility(spec: CodeSpec) -> int:
@@ -377,11 +377,16 @@ def prime_power_distribution(q: int, t: int, ell: int, jj: int) -> WeightDistrib
     numtheory.require_prime(t)
     if ell < 1 or not 1 <= jj <= ell:
         raise ValueError("need ell >= 1 and 1 <= jj <= ell")
-    order = numtheory.mult_order(q, t**ell)
-    d = numtheory.valuation(order, t)
-    if t**d != order:
-        raise OrderNotPrimePower(f"ord(q mod t^ell) = {order} is not a power of {t}")
-    m = order
+    # the order is a power of t exactly when q^(t^(ell-1)) = 1 (mod t^ell):
+    # raise q to t, t^2, ... rather than factor t^ell
+    modulus = t**ell
+    if q % t == 0:
+        raise NotCoprime(f"{q % modulus} shares a factor with {modulus}")
+    x, m = q % modulus, 1
+    while x != 1 and m < modulus // t:
+        x, m = pow(x, t, modulus), m * t
+    if x != 1:
+        raise OrderNotPrimePower(f"ord(q mod t^ell) is not a power of {t}")
     N = (q**m - 1) // t**jj
     spec = code_params(p, s, m, N)
     shape = _prime_power_attempt(spec)

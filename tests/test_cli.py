@@ -127,6 +127,38 @@ def test_bounds_text(capsys):
                    "upper = 30\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_outputs_past_the_int_digit_limit(capsys):
+    # r = 2^15000 has 4516 digits, past Python's default limit of 4300 for
+    # int <-> str; main lifts the limit only while it runs a command
+    limit = sys.get_int_max_str_digits()
+    rc, text = run(capsys, "bounds", "--p", "2", "--s", "1", "--m", "15000", "--N", "1")
+    assert rc == 0
+    rc, dist = run(capsys, "dist", "--p", "2", "--s", "1", "--m", "15000", "--N", "3",
+                   "--format", "json")
+    assert rc == 0
+    rc, periods = run(capsys, "periods", "--p", "2", "--s", "1", "--m", "15000", "--N", "3",
+                      "--format", "json")
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == limit
+    spec = weights.code_params(2, 1, 15000, 3)
+    sys.set_int_max_str_digits(0)
+    try:
+        lo, hi = weights.bounds(weights.code_params(2, 1, 15000, 1))
+        assert text == f"[n, k] = [{2**15000 - 1}, 15000] over GF(2)\ndivisor = 1\n" \
+            f"lower = {lo}\nupper = {hi}\n"
+        rec = json.loads(dist)
+        assert (rec["method"], rec["r"]) == ("thm24", spec.r)
+        assert rec["weights"] == [
+            {"w": str(w), "count": str(c)} for w, c in weights.weight_distribution(spec).entries
+        ]
+        rec = json.loads(periods)
+        assert rec["method"] == "thm24" and len(rec["periods"]) == 3
+        assert sum(int(v) for v in rec["periods"]) == -1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_periods_order2(capsys):
     rc, out = run(capsys, "periods", "--p", "3", "--s", "1", "--m", "4", "--N", "2")
     assert rc == 0
@@ -357,7 +389,7 @@ def test_closed_paths_never_import_numpy():
     # oversize enumeration is refused before the field layer loads; verify
     # enumerates, which shows that the check sees numpy when it arrives.
     # Each line also shows whether dataclasses and fractions are loaded: the
-    # records are plain classes, and only thm22 (index two) builds a Fraction
+    # records are plain classes, and every closed form runs on integers
     code = (
         "import contextlib, io, sys\n"
         "import irrcyclic.cli as cli\n"
@@ -382,6 +414,9 @@ def test_closed_paths_never_import_numpy():
         "                     '--method', 'brute')),\n"
         "    ('dist-tower-budget', ('dist', '--p', '2', '--s', '1', '--m', '40', '--N', '5',\n"
         "                           '--method', 'brute', '--budget', '2199023255552')),\n"
+        "    ('verify-enum-budget', ('verify', '--p', '2', '--s', '1', '--m', '30', '--N', '3')),\n"
+        "    ('verify-tower-budget', ('verify', '--p', '2', '--s', '1', '--m', '40', '--N', '3',\n"
+        "                             '--budget', '2199023255552')),\n"
         "    ('thm22', ('dist', '--p', '2', '--s', '1', '--m', '21', '--N', '49')),\n"
         "    ('verify', ('verify', '--p', '2', '--s', '1', '--m', '4', '--N', '3')),\n"
         "]:\n"
@@ -399,15 +434,18 @@ def test_closed_paths_never_import_numpy():
         "periods-text 0 False False False",
     ]
     # the refusals keep the text and the order of the field layer's checks
-    assert lines[5:8] == [
+    assert lines[5:10] == [
         "tower-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " r = 2^40 exceeds the tower budget 67108864",
         "enum-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " period enumeration at r = 16777216 exceeds budget 4194304",
         "dist-tower-budget 3 False False False unsupported: SizeBudgetExceeded:"
         " r = 2^40 exceeds the tower budget 67108864",
+        "verify-enum-budget 3 False False False unsupported: SizeBudgetExceeded:"
+        " oracle at r = 1073741824 exceeds budget 4194304",
+        "verify-tower-budget 3 False False False unsupported: SizeBudgetExceeded:"
+        " r = 2^40 exceeds the tower budget 67108864",
     ]
-    # thm22 may load fractions, and still no numpy
-    assert lines[8].startswith("thm22 0 False False ")
-    assert lines[9].startswith("verify 0 True ")
+    assert lines[10] == "thm22 0 False False False"
+    assert lines[11].startswith("verify 0 True ")
 

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ def test_quadratic_value_ring():
     assert (a ** 3).value() == pytest.approx(a.value() ** 3)
     assert cf.QuadraticValue.from_integer(5, -7) == 5
     assert cf.QuadraticValue.sqrt_of(-7).norm() == 7
+
+
+def test_quadratic_value_norm_is_an_int():
+    # the halves share parity, so the norm is integral for every D
+    for half_x, half_y, D in [(3, 1, -7), (1, 1, 5), (2, 4, 8), (-2, 2, -7), (0, 0, -7)]:
+        norm = cf.QuadraticValue(half_x, half_y, D).norm()
+        assert type(norm) is int
+        assert 4 * norm == half_x**2 - D * half_y**2
 
 
 # -- quadratic Gauss sums (order 2)
@@ -266,9 +275,7 @@ def test_semiprimitive_periods_dft_gives_gauss_sums():
 def test_index2_params_small():
     params = cf.index2_params(2, 7, 1, 1)
     assert (params.f, params.h, params.a, params.b) == (3, 1, -1, 1)
-    assert params.P == (0, 2, 0)
-    assert params.A[1] == Fraction(-1, 2)
-    assert params.B[1] == Fraction(1, 2)
+    assert [(g.half_x, g.half_y, g.D) for g in params.G] == [(0, 0, -7), (-2, 2, -7), (0, 0, -7)]
     g = params.gauss_sum(1)
     assert (g.half_x, g.half_y, g.D) == (-2, 2, -7)  # -1 + sqrt(-7)
     assert g.norm() == 8  # |G|^2 = r
@@ -277,11 +284,12 @@ def test_index2_params_small():
 def test_index2_params_lam2():
     params = cf.index2_params(2, 7, 2, 1)
     assert params.f == 21
-    assert params.P[1] == 128
-    assert params.P[2] == 1024
+    # G[1] = 2^7 (13 + 7 sqrt(-7))/2 and G[2] = 2^10 (-1 + sqrt(-7))/2, the
+    # powers of (a + b sqrt(-7))/2 having norm 2^(h 7^(lam-t)) = 2^7 and 2
+    assert [(g.half_x, g.half_y) for g in params.G] == [(0, 0), (1664, 896), (-1024, 1024), (0, 0)]
+    assert (13**2 + 7 * 7**2) // 4 == 2 ** (params.h * 7) and params.h == 1
     for t in (1, 2):
-        assert params.A[t] ** 2 + 7 * params.B[t] ** 2 == \
-            Fraction(2 ** (params.h * 7 ** (params.lam - t)))
+        assert params.gauss_sum(t) is params.G[t]
         assert params.gauss_sum(t).norm() == 2**21  # every |G|^2 = r
 
 
@@ -380,3 +388,49 @@ def test_closed_periods_cache_hands_out_fresh_lists():
     # the divisor gate runs outside the cache, whatever (p, d) it holds
     with pytest.raises(NotADivisor):
         cf.closed_periods(2, 6, 5)
+
+
+def test_every_rule_output_passes_the_identity_gate():
+    # every order N of a seeded half of the fields GF(p^d) with p < 60 and
+    # r <= 2^64: _first_rule checks the sum and product rules on whatever a
+    # rule hands out, so no call may raise
+    fields = [(p, d) for p in range(2, 60) if numtheory.is_prime(p)
+              for d in range(1, 65) if p**d <= 1 << 64]
+    cf._first_rule.cache_clear()
+    seen = Counter()
+    for p, d in random.Random(18).sample(fields, len(fields) // 2):
+        for N in numtheory.divisors(p**d - 1):
+            found = cf.closed_periods(p, d, N)
+            if found is not None:
+                seen[found[0]] += 1
+    assert set(seen) == {"thm16", "thm18", "thm24", "thm19", "thm21", "thm22"}
+
+
+@pytest.mark.parametrize("tag,p,d,N", [
+    ("thm16", 2, 4, 1),
+    ("thm18", 3, 4, 2),
+    ("thm24", 2, 4, 5),
+    ("thm19", 7, 3, 3),
+    ("thm21", 5, 4, 4),
+    ("thm22", 2, 3, 7),
+])
+def test_identity_gate_refuses_a_shifted_period(monkeypatch, tag, p, d, N):
+    assert cf.closed_periods(p, d, N)[0] == tag
+
+    def shift_one(rule):
+        def shifted(p, d, N):
+            runs = rule(p, d, N)
+            if runs is None:
+                return None
+            (eta, mult), *rest = runs
+            return [(eta + 1, 1)] + ([(eta, mult - 1)] if mult > 1 else []) + rest
+        return shifted
+
+    rules = tuple((name, shift_one(rule) if name == tag else rule) for name, rule in cf._RULES)
+    monkeypatch.setattr(cf, "_RULES", rules)
+    cf._first_rule.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=f"^{tag}: order-{N} periods"):
+            cf.closed_periods(p, d, N)
+    finally:
+        cf._first_rule.cache_clear()

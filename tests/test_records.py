@@ -19,7 +19,7 @@ def _frozen_records():
         (weights.PeriodCheck(True, True, True), "integral"),
         (closed_forms.period_poly_order3(7, 1, 3), "coeffs"),
         (closed_forms.semiprimitive_periods(3, 1, 2, 2), "special_value"),
-        (closed_forms.index2_params(2, 7, 1, 1), "P"),
+        (closed_forms.index2_params(2, 7, 1, 1), "G"),
         (cyclotomy.gaussian_periods_exact(tower, 3), "counts"),
         (cyclotomy.cyclotomic_numbers(tower, 3), "counts"),
         (oracle.codeword(weights.code_params(2, 1, 4, 3), tower, tower.one), "entries"),
@@ -86,9 +86,8 @@ def test_reprs():
         " entries=((24, 40), (30, 40)), method='thm18')"
     )
     assert repr(closed_forms.index2_params(2, 7, 1, 1)) == (
-        "IndexTwoParams(p=2, l=7, lam=1, s=1, N1=7, f=3, h=1, a=-1, b=1, P=(0, 2, 0),"
-        " A=(Fraction(0, 1), Fraction(-1, 2), Fraction(0, 1)),"
-        " B=(Fraction(0, 1), Fraction(1, 2), Fraction(0, 1)))"
+        "IndexTwoParams(p=2, l=7, lam=1, s=1, N1=7, f=3, h=1, a=-1, b=1,"
+        " G=((0 + 0*sqrt(-7))/2, (-2 + 2*sqrt(-7))/2, (0 + 0*sqrt(-7))/2))"
     )
     tower = build_tower(2, 1, 4)
     assert repr(cyclotomy.gaussian_periods_exact(tower, 3)) == (

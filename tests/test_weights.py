@@ -3,16 +3,18 @@ import pickle
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrcyclic import closed_forms, cyclotomy, weights
+from irrcyclic import closed_forms, cyclotomy, numtheory, weights
 from irrcyclic.errors import (
     NonIntegralWeight,
     NotADivisor,
+    NotCoprime,
     NotIndexTwo,
     NotPrime,
     OrderNotPrimePower,
@@ -53,6 +55,19 @@ def test_weight_from_period():
     with pytest.raises(NonIntegralWeight) as exc:
         weights.weight_from_period(spec, -26)
     assert str(exc.value) == "period -26 gives weight 60 for CodeSpec(p=7, s=1, m=3, N=6)"
+
+
+def test_index2_weight_refusal_text():
+    # a stand-in whose class sum gives (q - 1)(r - 1)/(qN) = 7/14
+    spec = weights.code_params(2, 1, 3, 7)
+    params = types.SimpleNamespace(N1=7, class_sum=lambda i: 1)
+    with pytest.raises(NonIntegralWeight) as exc:
+        weights.index2_weight(spec, 3, params)
+    assert str(exc.value) == "index-two class 3 gives weight 1/2 for CodeSpec(p=2, s=1, m=3, N=7)"
+    params = types.SimpleNamespace(N1=7, class_sum=lambda i: -20)
+    with pytest.raises(NonIntegralWeight) as exc:
+        weights.index2_weight(spec, 0, params)
+    assert str(exc.value) == "index-two class 0 gives weight 2 for CodeSpec(p=2, s=1, m=3, N=7)"
 
 
 def test_divisor_and_bounds_are_derived_once_per_spec():
@@ -212,6 +227,35 @@ def test_prime_power_distribution_examples():
     assert dist.counts_by_weight() == {3: 3}
     with pytest.raises(OrderNotPrimePower):
         weights.prime_power_distribution(2, 3, 2, 1)
+
+
+def test_prime_power_distribution_order_without_factoring():
+    # q = 1 (mod t^2) for t = 2^61 - 1: the order of q mod t^2 is 1, found by
+    # powering, where factoring t^2 took longer than 20 s
+    t = 2**61 - 1
+    q = 138 * t * t + 1
+    start = time.perf_counter()
+    dist = weights.prime_power_distribution(q, t, 2, 1)
+    assert time.perf_counter() - start < 1
+    assert dist.spec.m == 1 and dist.entries == ((t, q - 1),)
+    with pytest.raises(NotCoprime, match="^0 shares a factor with 9$"):
+        weights.prime_power_distribution(9, 3, 2, 1)
+
+
+def test_prime_power_distribution_order_matches_mult_order():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19, 25, 27, 31, 37, 43, 49, 64, 81, 125):
+        for t in (3, 5, 7):
+            if q % t == 0:
+                continue
+            for ell in (1, 2, 3):
+                order = numtheory.mult_order(q, t**ell)
+                if t ** numtheory.valuation(order, t) != order:
+                    with pytest.raises(OrderNotPrimePower):
+                        weights.prime_power_distribution(q, t, ell, 1)
+                    continue
+                jj = min(ell, numtheory.valuation(order, t) + numtheory.valuation(q - 1, t))
+                if jj >= 1:
+                    assert weights.prime_power_distribution(q, t, ell, jj).spec.m == order
 
 
 def test_prime_power_distribution_rejects_a_composite_q_unfactored():
