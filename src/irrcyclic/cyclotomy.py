@@ -14,14 +14,16 @@ or shifted sum over them is taken in int64 or as Python ints.
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
 is -1 (always, exactly), and the shifted product sum equals r*theta_k - n.
-The product identity is checked exactly: for integer periods, k = 0 first in
-integers, which bounds every shifted sum by r <= TOWER_CAP so that one float
-FFT correlation gives the rest exactly; otherwise via a 2D convolution of the
-histogram (a real FFT, so only the half spectrum over the root-of-unity axis
-is formed, transformed axis by axis in place; the cap covers every extension
-field up to 2^12), and via a structural argument over prime fields, where the
-histogram is forced to be a class indicator and the identity follows by a
-change of variable.  The checked flag records whether any of these ran.
+The product identity is checked exactly, at every size: for integer periods,
+k = 0 first in integers, which bounds every shifted sum by r <= TOWER_CAP so
+that one float FFT correlation gives the rest exactly; for irrational periods
+over GF(p^d), d > 1, on the Galois orbit: GF(p)* moves classes and traces
+together, a histogram that respects that action (checked a block of rows at
+a time) has rational product sums, and each is fixed by two length-N
+autocorrelations, of columns 0 and 1, so no (N, p) array is transformed;
+over prime fields by a structural argument, where the histogram is forced to
+be a class indicator and the identity follows by a change of variable.  One
+of the three runs for every period set, so the checked flag is always True.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from .errors import (
 )
 from .fields import SCRATCH_BLOCK, FieldElement, FieldTower
 
-PRODUCT_RULE_CAP = 1 << 18
+# rows up to this length are correlated directly in integers: N^2 products
+# cost less than a transform's fixed overhead
+DIRECT_CORRELATION = 1 << 7
 
 
 class RootOfUnitySum:
@@ -230,48 +234,106 @@ def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarra
     return True
 
 
-def _product_table(hist: np.ndarray, N: int, p: int) -> np.ndarray:
-    """table[k, c] = sum_i sum_{a + b = c mod p} hist[i, a] * hist[i + k mod N, b]:
-    a correlation over the class axis and a convolution over the
-    root-of-unity axis, as a rounded float64 (N, p) array.  Exact while
-    hist.sum()^2 * (log2(N p) + 4) < 2^50.
+def _smooth_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: a transform length at most a few percent
+    past m, where a power of two can be nearly twice it."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least odd * 2^a >= m
+            best = min(best, odd << max(0, (-(-m // odd) - 1).bit_length()))
+            odd *= 3
+        odd5 *= 5
+    return best
 
-    The transform runs one axis at a time on a single complex half spectrum,
-    in place, and the real result is rounded in place, so the largest
-    arrays alive at once are hist, that spectrum and the result.
+
+def _autocorrelation(x: np.ndarray) -> np.ndarray:
+    """C[k] = sum_i x[i] * x[(i + k) mod N] for a column of N counts, exactly,
+    as int64.
+
+    C[0] is computed in integers first and bounds every C[k], so a float
+    correlation rounds exactly while C[0] (log2 L + 4) < 2^50.  That
+    correlation pads x to the least L = 2^a 3^b 5^c >= 2N - 1, where the
+    transform is fast whatever N factors into, and folds the linear lags
+    onto the cyclic ones.  Short columns, and columns past the float bound
+    (only N <= 2^7 for a field up to TOWER_CAP), are correlated directly in
+    integers.
     """
-    # real input: the half spectrum over the root-of-unity axis suffices
-    f = np.fft.rfft(hist, axis=1)
-    np.fft.fft(f, axis=0, out=f)
-    # correlating over the class axis multiplies row u by row -u mod N; that
-    # product is the same for u and -u, so compute it once per pair
-    lo, hi = f[1 : (N + 1) // 2], f[N - 1 : N // 2 : -1]
-    lo *= hi
-    hi[...] = lo
-    f[0] *= f[0]
-    if N % 2 == 0:
-        f[N // 2] *= f[N // 2]
-    np.fft.ifft(f, axis=0, out=f)
-    # the length must be explicit: irfft assumes an even one, and p is odd here
-    table = np.fft.irfft(f, p, axis=1)
-    return np.rint(table, out=table)
+    N = len(x)
+    x = x.astype(np.int64)
+    L = _smooth_length(2 * N - 1)
+    if N <= DIRECT_CORRELATION or int(np.dot(x, x)) * (math.log2(L) + 4) >= 2**50:
+        # x wrapped once makes np.correlate's "valid" lags the cyclic ones
+        return np.correlate(np.concatenate((x, x[:-1])), x)
+    f = np.fft.rfft(x, L)
+    del x
+    # |F|^2 into the half spectrum in place, so no second spectrum is made
+    re, im = f.real, f.imag
+    re *= re
+    im *= im
+    re += im
+    im[...] = 0
+    lin = np.fft.irfft(f, L)
+    del f, re, im  # the views hold the spectrum too
+    # cyclic lag k is linear lag k plus linear lag k - N
+    lin[1:N] += lin[L - N + 1 :]
+    return np.rint(lin[:N]).astype(np.int64)
 
 
-def _check_product_rule_table(hist: np.ndarray, r: int, N: int, p: int, theta: np.ndarray) -> bool:
-    """Exact product check for non-integer periods via _product_table."""
-    if N * p > PRODUCT_RULE_CAP:
-        return False
-    total = int(hist.sum())
-    if total * total * (math.log2(N * p) + 4) >= 2**50:
-        return False
-    table = _product_table(hist, N, p)
-    # canonical form: sum_c table[k, c] zeta^c less table[k, p-1] times the
-    # zero sum 1 + zeta + ... + zeta^(p-1); every entry is exact in float64
-    # under the guard above; the column is copied first, or numpy would copy
-    # the whole table to resolve the overlap
-    table -= table[:, -1:].copy()
-    if table[:, 1:].any() or not (table[:, 0] == r * theta - (r - 1) // N).all():
+def _check_product_rule_orbit(hist: np.ndarray, core, N: int, theta: np.ndarray) -> bool:
+    """Exact product check for irrational periods over GF(p^d), d > 1.
+
+    a0 = alpha^g with g = (r - 1)/(p - 1) generates GF(p)*, and x -> a0 x
+    sends class i to class i + g and trace t to a0 t, so a true histogram
+    obeys hist[(i + g) mod N, a0 t mod p] = hist[i, t]; each row sums to n.
+    On such a histogram the product table T_k[c] = sum_i sum_{a+b=c}
+    hist[i, a] hist[i+k, b] is the same for every c != 0 and sums to N n^2
+    over c, so its canonical value is (p T_k[0] - N n^2) / (p - 1), and the
+    identity p T_k[0] - N n^2 = (p - 1)(r theta_k - n) solves to
+    T_k[0] = n (r/p - 1) + (p - 1)(r/p) theta_k.  A nonzero trace a0^j reads
+    column 1 shifted by g j rows, and -a0^j the same shifted by a further
+    dlog(-1), so T_k[0] = C0[k] + (p - 1) C1[k - dlog(-1)], where C0 and C1
+    are the cyclic autocorrelations of columns 0 and 1.
+    """
+    p, r = core.p, core.r
+    n, g = (r - 1) // N, (r - 1) // (p - 1)
+    # a constant of the ring packs to itself, so a0 < p iff a0 lies in GF(p)
+    a0 = core.ring.pow(core.alpha, g)
+    if not (a0 < p and _orbit_invariant(hist, g % N, a0) and (hist.sum(axis=1) == n).all()):
         raise AssertionError("period product identity failed")
+    c = _autocorrelation(hist[:, 0])
+    c1 = _autocorrelation(hist[:, 1])
+    c1 *= p - 1
+    shift = dlog_of_minus_one(p, r) % N
+    c[shift:] += c1[: N - shift]
+    c[:shift] += c1[N - shift :]
+    q = r // p
+    if not (c == n * (q - 1) + (p - 1) * q * theta).all():
+        raise AssertionError("period product identity failed")
+    return True
+
+
+def _orbit_invariant(hist: np.ndarray, g: int, a0: int) -> bool:
+    """hist[(i + g) mod N, a0 t mod p] == hist[i, t] for every i and t.
+
+    Rows are taken SCRATCH_BLOCK entries at a time: a block of rows i + g
+    has its columns permuted and is compared with rows i, which wrap past
+    row N - 1 at most once.
+    """
+    N, p = hist.shape
+    cols = np.arange(p) * a0 % p
+    step = max(1, SCRATCH_BLOCK // p)
+    for lo in range(0, N, step):
+        moved = hist[lo : lo + step].take(cols, axis=1)
+        i, rows = (lo - g) % N, len(moved)
+        head = min(rows, N - i)
+        if not (
+            (moved[:head] == hist[i : i + head]).all()
+            and (moved[head:] == hist[: rows - head]).all()
+        ):
+            return False
     return True
 
 
@@ -345,7 +407,7 @@ def gaussian_periods_exact(
     elif core.d == 1:
         checked = _check_product_rule_prime_field(hist, core, N)
     else:
-        checked = _check_product_rule_table(hist, r, N, p, theta)
+        checked = _check_product_rule_orbit(hist, core, N, theta)
     # canonical form in place: a copy would double the largest array here,
     # and numpy makes one to resolve an overlap unless the column is copied
     hist -= hist[:, -1:].copy()

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irrcyclic import closed_forms, cyclotomy
-from irrcyclic.errors import EvenPrime, NotADivisor, SizeBudgetExceeded
+from irrcyclic.errors import DEFAULT_ENUM_BUDGET, EvenPrime, NotADivisor, SizeBudgetExceeded
 from irrcyclic.fields import FieldTower, _Core, build_tower
 
 
@@ -213,18 +214,17 @@ def test_product_checks_catch_a_moved_count():
     t = build_tower(3, 1, 3)
     hist = _trace_histogram(t, 2)
     theta = cyclotomy._theta_flags(3, t.r, 2)
-    assert cyclotomy._check_product_rule_table(hist, t.r, 2, 3, theta)
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, 2, theta)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_table(_move_one_count(hist), t.r, 2, 3, theta)
-    # odd p and N > 2 with irrational periods: the half-spectrum path, whose
-    # inverse transform needs the odd length p spelled out
+        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 2, theta)
+    # odd p and N > 2 with irrational periods
     t = build_tower(7, 1, 2)
     assert cyclotomy.gaussian_periods_exact(t, 3).integer_values is None
     hist = _trace_histogram(t, 3)
     theta = cyclotomy._theta_flags(7, t.r, 3)
-    assert cyclotomy._check_product_rule_table(hist, t.r, 3, 7, theta)
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, 3, theta)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_table(_move_one_count(hist), t.r, 3, 7, theta)
+        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 3, theta)
     t = build_tower(7, 1, 1)
     hist = _trace_histogram(t, 2)
     assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)
@@ -275,11 +275,26 @@ def test_period_histogram_peak_memory():
     assert peak < 1.25 * ps.counts.nbytes, peak / ps.counts.nbytes
 
 
+def _product_table(hist):
+    """T[k, c] = sum_i sum_{a + b = c mod p} hist[i, a] * hist[(i + k) mod N, b],
+    the double sum, as one product R_k = hist^T (hist rolled by k) per k, with
+    R_k[a, b] summed over a + b = c.  Float64 is exact: every partial sum is
+    an integer far below 2^53 at the sizes tested."""
+    N, p = hist.shape
+    h = hist.astype(np.float64)
+    a = np.arange(p)
+    b = (a[None, :] - a[:, None]) % p  # b[a, c] = c - a
+    table = np.empty((N, p), dtype=np.int64)
+    for k in range(N):
+        table[k] = (h.T @ np.roll(h, -k, axis=0))[a[:, None], b].sum(axis=0)
+    return table
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_product_table_matches_the_double_sum(p, N):
-    # every entry, not just the canonical column the identity pins down;
-    # odd and even N take different paths through the pairing of u and -u
+    # the reference below, against the double sum written out, on every
+    # entry of random histograms; odd and even N alike
     hist = np.random.default_rng(10 * p + N).integers(0, 9, size=(N, p)).astype(np.int32)
     want = np.zeros((N, p), dtype=np.int64)
     for k in range(N):
@@ -287,57 +302,158 @@ def test_product_table_matches_the_double_sum(p, N):
             for a in range(p):
                 for b in range(p):
                     want[k, (a + b) % p] += int(hist[i, a]) * int(hist[(i + k) % N, b])
-    table = cyclotomy._product_table(hist, N, p)
-    assert table.dtype == np.float64
-    assert (table == want).all()
+    assert (_product_table(hist) == want).all()
 
 
-@pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720)])
-def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d, N):
-    t = build_tower(p, 1, d)
-    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
-    theta = cyclotomy._theta_flags(p, t.r, N)
-    assert cyclotomy._check_product_rule_table(hist, t.r, N, p, theta)
-    # from a nonzero column of row 0 to another column that holds counts
+def _moved_between_columns(hist):
+    """hist with a count of row 0 moved from a nonzero column to another
+    column that holds counts: every row sum stays."""
+    p = hist.shape[1]
     a = int(np.flatnonzero(hist[0])[0])
     b = next(c for c in range(p) if c != a and hist[:, c].any())
     bad = hist.copy()
     bad[0, a] -= 1
     bad[0, b] += 1
+    return bad
+
+
+def _moved_between_rows(hist):
+    """hist with a count of a nonzero column moved from row 0 to row 1:
+    every column sum stays."""
+    a = int(np.flatnonzero(hist[0])[0])
+    bad = hist.copy()
+    bad[0, a] -= 1
+    bad[1, a] += 1
+    return bad
+
+
+@pytest.mark.parametrize(
+    "p,d",
+    [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3),
+     (11, 2), (13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (31, 2)],
+)
+def test_orbit_product_check_matches_the_reference(p, d):
+    # every order N of irrational periods over GF(p^d), r <= 2^10: the
+    # double sum's canonical table is (r theta_k - n, 0, ..., 0), the orbit
+    # check accepts the true histogram and refuses each moved count
+    t = build_tower(p, 1, d)
+    tr = t.core.trace_by_log()
+    orders = 0
+    for N in (N for N in range(2, t.r) if (t.r - 1) % N == 0):
+        hist = cyclotomy._class_trace_histogram(tr, N, p)
+        if not np.ptp(hist[:, 1:], axis=1).any():
+            continue  # integer periods
+        orders += 1
+        theta = cyclotomy._theta_flags(p, t.r, N)
+        table = _product_table(hist)
+        table -= table[:, -1:]
+        assert not table[:, 1:].any(), (p, d, N)
+        assert (table[:, 0] == t.r * theta - (t.r - 1) // N).all(), (p, d, N)
+        assert cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+        for move in (_moved_between_columns, _moved_between_rows, _move_one_count):
+            with pytest.raises(AssertionError, match="period product identity failed"):
+                cyclotomy._check_product_rule_orbit(move(hist), t.core, N, theta)
+    assert orders
+
+
+def test_orbit_check_reads_the_row_sums():
+    # one count moved three rows along the whole GF(13)* orbit of (2, 1):
+    # the histogram still obeys the orbit law and the correlation identity
+    # over GF(13^2) at N = 4, but two rows no longer sum to n
+    t = build_tower(13, 1, 2)
+    N, p = 4, 13
+    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    g = (t.r - 1) // (p - 1)
+    a0 = t.core.ring.pow(t.core.alpha, g)
+    bad = hist.copy()
+    for j in range(p - 1):
+        i, c = (2 + g * j) % N, pow(a0, j, p)
+        bad[i, c] -= 1
+        bad[(i + 3) % N, c] += 1
+    assert cyclotomy._orbit_invariant(bad, g % N, a0)
+    assert (bad.sum(axis=1) != hist.sum(axis=1)).any()
+    theta = cyclotomy._theta_flags(p, t.r, N)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_table(bad, t.r, N, p, theta)
+        cyclotomy._check_product_rule_orbit(bad, t.core, N, theta)
+
+
+@pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720), (601, 2, 600)])
+def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d, N):
+    t = build_tower(p, 1, d)
+    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    theta = cyclotomy._theta_flags(p, t.r, N)
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_product_rule_orbit(_moved_between_columns(hist), t.core, N, theta)
 
 
 def test_table_product_check_reads_every_column(monkeypatch):
-    # a product table off the identity in a single entry, in column 0 or
-    # in another column, must be caught
+    # an autocorrelation off by one at a single lag, k = 0 or not, of
+    # either column must be caught
     t = build_tower(7, 1, 4)
     N, p = 80, 7
     hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
     theta = cyclotomy._theta_flags(p, t.r, N)
-    good = cyclotomy._product_table(hist, N, p)
-    for k, c in [(0, 0), (3, 0), (0, 2), (5, 6)]:
-        bad = good.copy()
-        bad[k, c] += 1
-        monkeypatch.setattr(cyclotomy, "_product_table", lambda *args, bad=bad: bad.copy())
+    good = cyclotomy._autocorrelation
+    for column, k in [(0, 0), (0, 3), (1, 0), (1, 77)]:
+        calls = []
+
+        def off_by_one(x, column=column, k=k, calls=calls):
+            out = good(x)
+            if len(calls) == column:
+                out[k] += 1
+            calls.append(x)
+            return out
+
+        monkeypatch.setattr(cyclotomy, "_autocorrelation", off_by_one)
         with pytest.raises(AssertionError, match="period product identity failed"):
-            cyclotomy._check_product_rule_table(hist, t.r, N, p, theta)
+            cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 128, 129, 300, 1001])
+def test_autocorrelation_is_exact(N):
+    # the direct path up to DIRECT_CORRELATION, the transform past it, and
+    # the direct path again for counts so large that C[0] passes the float
+    # bound; each against Python ints
+    rng = np.random.default_rng(N)
+    for top in (50, 1 << 24):
+        x = rng.integers(0, top, size=N).astype(np.int32)
+        v = x.tolist()
+        want = [sum(v[i] * v[(i + k) % N] for i in range(N)) for k in range(N)]
+        got = cyclotomy._autocorrelation(x)
+        assert got.dtype == np.int64 and got.tolist() == want, (N, top)
+
+
+def test_smooth_length_is_the_least_5_smooth_bound():
+    def smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+
+    for m in range(1, 3000):
+        assert cyclotomy._smooth_length(m) == next(n for n in range(m, 2 * m + 1) if smooth(n))
 
 
 def test_table_product_check_peak_memory():
-    # the transforms run axis by axis in place, so at most three (N, p)
-    # arrays are alive: the int32 histogram (4 bytes per entry), one complex
-    # half spectrum (about 8) and the float64 result (8)
-    N, p = 3720, 61
-    tower = FieldTower(p, 1, 2, _Core(p, 2))
-    tracemalloc.start()
-    try:
-        ps = cyclotomy.gaussian_periods_exact(tower, N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ps.product_rule_checked and ps.integer_values is None
-    assert peak < 28 * N * p, peak / (N * p)
+    # the orbit check compares a block of rows at a time and transforms two
+    # columns, one at a time: past the int32 histogram (4 bytes per entry),
+    # the trace sequence and the histogram's own scratch, it adds little.
+    # Each bound is below the 2-D spectrum check this replaced (20.8, 20.0
+    # and 25.4 bytes per entry on the first, second and last shape)
+    for p, d, N, bound in [
+        (61, 2, 3720, 8.0), (601, 2, 300, 16.0), (601, 2, 600, 10.0), (3, 9, 19682, 23.0)
+    ]:
+        tower = FieldTower(p, 1, d, _Core(p, d))
+        tracemalloc.start()
+        try:
+            ps = cyclotomy.gaussian_periods_exact(tower, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.product_rule_checked and ps.integer_values is None
+        assert peak < bound * N * p, (p, d, N, peak / (N * p))
 
 
 def test_periods_invalid_order():
@@ -354,14 +470,27 @@ def test_bad_order_has_the_code_params_text():
 
 
 def test_product_table_cap():
-    # irrational periods over GF(601^2): the table check runs up to
-    # N * p = PRODUCT_RULE_CAP and is skipped past it
+    # irrational periods over GF(601^2) are checked on both sides of the
+    # 2^18-entry cap the 2-D spectrum check stopped at
     t = build_tower(601, 1, 2)
-    assert 300 * 601 <= cyclotomy.PRODUCT_RULE_CAP < 600 * 601
-    wide = cyclotomy.gaussian_periods_exact(t, 600)
-    assert wide.integer_values is None and not wide.product_rule_checked
-    narrow = cyclotomy.gaussian_periods_exact(t, 300)
-    assert narrow.integer_values is None and narrow.product_rule_checked
+    for N in (300, 600):
+        ps = cyclotomy.gaussian_periods_exact(t, N)
+        assert ps.integer_values is None and ps.product_rule_checked, N
+
+
+@pytest.mark.parametrize(
+    "d,N,budget",
+    [(11, 177146, DEFAULT_ENUM_BUDGET), (15, 2, 1 << 26), (15, 22, 1 << 26), (15, 26, 1 << 26)],
+)
+def test_product_rule_checked_at_every_enumerable_size(d, N, budget):
+    # past the old 2^18-entry cap (GF(3^11)) and the old 2^50 float guard
+    # (GF(3^15)), promptly
+    t = build_tower(3, 1, d)
+    t.core.trace_by_log()
+    start = time.perf_counter()
+    ps = cyclotomy.gaussian_periods_exact(t, N, budget=budget)
+    assert time.perf_counter() - start < 1.0
+    assert ps.integer_values is None and ps.product_rule_checked
 
 
 def test_int_product_check_refuses_huge_periods():
@@ -453,15 +582,22 @@ def test_quadratic_char_sum_matches_elementwise():
 
 def test_period_checks_hold_under_optimize():
     # periods (1, 2) of order 2 over GF(7) break both identities; a monic
-    # cubic whose roots do not expand to it breaks the polynomial check
+    # cubic whose roots do not expand to it breaks the polynomial check; a
+    # count of GF(27)'s order-2 histogram moved breaks the orbit check
     code = (
         "import numpy as np\n"
-        "from irrcyclic import closed_forms, cyclotomy\n"
+        "from irrcyclic import closed_forms, cyclotomy, fields\n"
+        "tower = fields.build_tower(3, 1, 3)\n"
+        "hist = cyclotomy._class_trace_histogram(tower.core.trace_by_log(), 2, 3)\n"
+        "hist[0, 1] -= 1\n"
+        "hist[0, 2] += 1\n"
         "checks = [\n"
         "    lambda: cyclotomy._check_sum_rule(7, np.array([1, 0, 0, 0, 0, 0, 0])),\n"
         "    lambda: cyclotomy._check_product_rule_int(\n"
         "        np.array([1, 2]), 7, 2, cyclotomy._theta_flags(7, 7, 2)),\n"
         "    lambda: closed_forms.PeriodPolynomial(3, 7, (0, 0, 0, 1), ((1, 3),)),\n"
+        "    lambda: cyclotomy._check_product_rule_orbit(\n"
+        "        hist, tower.core, 2, cyclotomy._theta_flags(3, 27, 2)),\n"
         "]\n"
         "for check in checks:\n"
         "    try:\n"
@@ -477,4 +613,5 @@ def test_period_checks_hold_under_optimize():
         "period sum identity failed",
         "period product identity failed",
         "roots do not expand to the coefficients",
+        "period product identity failed",
     ]
