@@ -2,14 +2,16 @@
 
 Values living in Z[zeta_p] are carried as integer count vectors over the
 p-th roots of unity, so everything here is exact; complex floats appear only
-in the numeric cross-check helpers.  A period set of order N is one int32
-(N, p) count matrix whose row k is period k in that canonical form, and a
-table of cyclotomic numbers is likewise its (N, N) int64 count matrix.
+in the numeric cross-check helpers.  A period set of order N is one (N, p)
+count matrix whose row k is period k in that canonical form, and a table of
+cyclotomic numbers is likewise its (N, N) int64 count matrix.
 
 The period histogram is keyed on blocks of the trace sequence, never on one
 key per field element.  The trace sequence is narrow (one byte up to
-p = 256) and the count matrices are int32, so every sum of squares, product
-or shifted sum over them is taken in int64 or as Python ints.
+p = 256), and so is the count matrix: its entries lie in [-n, n] with
+n = (r - 1)/N, so it has the narrowest signed dtype that holds them (int8
+for n < 2^7, int16 for n < 2^15, int32 otherwise).  Every sum of squares,
+product or shifted sum over them is taken in int64 or as Python ints.
 
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
@@ -168,8 +170,9 @@ def dlog_of_minus_one(p: int, r: int) -> int:
 class GaussianPeriodSet(_Record):
     """Exact Gaussian periods of order N over GF(r), indexed by class.
 
-    counts is the read-only int32 (N, p) canonical count matrix: period k
-    is sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.  Compared by
+    counts is the read-only (N, p) canonical count matrix, in the narrowest
+    signed dtype that holds n = (r - 1)/N: period k is
+    sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.  Compared by
     identity; the __dict__ holds the cached properties.
     """
 
@@ -223,7 +226,7 @@ def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarra
     in integers (max eta^2 <= r, so the int64 dot product cannot wrap); it
     bounds every correlation by r, so the float FFT one rounds exactly."""
     target = r * theta - (r - 1) // N
-    # int64 first: np.dot of an int32 count vector wraps
+    # int64 first: np.dot of a narrow count vector wraps
     a = values.astype(np.int64)
     if int(np.abs(a).max()) ** 2 > r or int(np.dot(a, a)) != target[0]:
         raise AssertionError("period product identity failed")
@@ -354,27 +357,37 @@ def _check_product_rule_prime_field(hist: np.ndarray, core, N: int) -> bool:
 
 
 def _class_trace_histogram(tr: np.ndarray, N: int, p: int) -> np.ndarray:
-    """hist[c, v] = #{k : k = c (mod N), tr[k] = v}, as an int32 (N, p) matrix:
-    a count is at most r <= TOWER_CAP, so int32 holds it.
+    """hist[c, v] = #{k : k = c (mod N), tr[k] = v}, as an (N, p) matrix in
+    the narrowest signed dtype that holds n = len(tr) / N.  Every entry, and
+    every entry of the canonical form hist[c] - hist[c, p-1], lies in
+    [-n, n]; n < r <= TOWER_CAP < 2^31, so int32 always suffices.
 
-    Column c of tr.reshape(-1, N) holds class c.  Blocks of SCRATCH_BLOCK / p
-    columns are counted in turn, keyed tr[k] + p * (class less the block's
-    first), a block of rows at a time: neither the int64 keys nor the int64
-    bincount output outgrow a block, and the calls' total cost stays a small
-    multiple of r + N * p.
+    Column c of tr.reshape(-1, N) holds class c.  Blocks of columns are
+    counted in turn, keyed tr[k] + p * (class less the block's first), a
+    block of rows at a time.  A block is sized so that neither the int64
+    keys nor the int64 bincount output holds more bytes than the larger of
+    hist and tr, nor more than SCRATCH_BLOCK entries; blocks of fewer than
+    SCRATCH_BLOCK / 16 entries are not worth a call, so that is the floor.
+    The calls' total cost stays a small multiple of r + N * p.
     """
     rows = tr.reshape(-1, N)
-    width = max(1, SCRATCH_BLOCK // p)
-    hist = np.zeros(N * p, dtype=np.int32)
+    # -n - 1, not -n: int8 holds -128 but not 128
+    hist = np.zeros(N * p, dtype=np.min_scalar_type(-len(rows) - 1))
+    block = min(SCRATCH_BLOCK, max(SCRATCH_BLOCK >> 4, hist.nbytes // 8, tr.nbytes // 8))
+    width = max(1, block // p)
     for c in range(0, N, width):
         cols = rows[:, c : c + width]
         w = cols.shape[1]
-        step = max(SCRATCH_BLOCK, w * p) // w
+        step = max(block, w * p) // w
         offsets = p * np.arange(w, dtype=np.int64)
         out = hist[c * p : (c + w) * p]
         for lo in range(0, len(rows), step):
-            # offsets are int64, so the narrow trace values are upcast here
-            out += np.bincount((cols[lo : lo + step] + offsets).ravel(), minlength=w * p)
+            # offsets are int64, so the narrow trace values are upcast here;
+            # the int64 counts are added in hist's dtype, which holds them
+            # and every partial sum, as none exceeds n
+            counts = np.bincount((cols[lo : lo + step] + offsets).ravel(), minlength=w * p)
+            np.add(out, counts, out=out, dtype=hist.dtype)
+            del counts  # else the next block's counts are made beside it
     return hist.reshape(N, p)
 
 
@@ -401,7 +414,9 @@ def gaussian_periods_exact(
     hist = _class_trace_histogram(core.trace_by_log(), N, p)
     _check_sum_rule(p, hist.sum(axis=0))
     theta = _theta_flags(p, r, N)
-    # a period is an integer when its row is constant off column 0
+    # a period is an integer when its row is constant off column 0.  The
+    # counts lie in [0, n], so np.ptp, the column difference and the
+    # canonical form below lie in [-n, n] and cannot wrap in hist's dtype
     if not np.ptp(hist[:, 1:], axis=1).any():
         checked = _check_product_rule_int(hist[:, 0] - hist[:, -1], r, N, theta)
     elif core.d == 1:

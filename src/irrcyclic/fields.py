@@ -14,11 +14,12 @@ bound on memory.
 
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
-subfield trace-zero masks as booleans, and only the log and successor-log
-tables, whose entries reach r, in int64.  Arithmetic on t runs in wider
-scratch blocks of SCRATCH_BLOCK entries, because sums and products of
-narrow entries wrap: the sequence is built in the narrowest unsigned type
-that holds d (p - 1)^2, and the period histograms key in int64.
+subfield trace-zero masks as booleans, and the log and successor-log
+tables, whose entries reach r <= TOWER_CAP < 2^31, in int32.  Arithmetic on
+t runs in wider scratch blocks of SCRATCH_BLOCK entries, because sums and
+products of narrow entries wrap: the sequence is built in the narrowest
+unsigned type that holds d (p - 1)^2, and the period histograms key in
+int64.
 
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
@@ -451,12 +452,13 @@ class _Core:
         alpha^k + y, where shift is the window of y.
         """
         t, n, p = self._sequence(), self.r - 1, self.p
-        codes = np.zeros(n, dtype=np.int64)
-        digit = np.empty(n, dtype=np.int64)
+        # a code is below r <= TOWER_CAP < 2^31
+        codes = np.zeros(n, dtype=np.int32)
+        digit = np.empty(n, dtype=np.int32)
         for i in range(self.d - 1, -1, -1):
             codes *= p
             if shift[i]:
-                np.add(t[i : i + n], shift[i], out=digit, dtype=np.int64)
+                np.add(t[i : i + n], shift[i], out=digit, dtype=np.int32)
                 digit[digit >= p] -= p
                 codes += digit
             else:
@@ -491,9 +493,10 @@ class _Core:
         An r-entry array: callers have already passed an enumeration budget.
         """
         if self._log is None:
-            table = np.full(self.r, -1, dtype=np.int64)
+            # a log is below r <= TOWER_CAP < 2^31
+            table = np.full(self.r, -1, dtype=np.int32)
             table[self._window_codes(np.zeros(self.d, dtype=np.int64))] = np.arange(
-                self.r - 1, dtype=np.int64
+                self.r - 1, dtype=np.int32
             )
             # r - 1 writes cover the r - 1 slots of log[1:] only if each
             # slot is written exactly once and zero is never hit
@@ -717,18 +720,24 @@ class FieldTower:
 
         With g = alpha^((r-1)/(q-1)), the powers 1, g, ..., g^(s-1) are a basis
         of GF(q) over GF(p), so Tr(x) to GF(q) vanishes iff Tr(g^i x) to GF(p)
-        vanishes for every i < s.  The shifts are ANDed slice by slice into
-        one mask, so at most two booleans per element are alive.
+        vanishes for every i < s.  t == 0 is taken SCRATCH_BLOCK entries at a
+        time and each block is ANDed into the one mask at every shift, so the
+        mask is the only whole-field boolean array built.
         """
         if self._traceq_zero is None:
-            n = self.r - 1
-            zero = self.core.trace_by_log() == 0
-            mask = zero if self.s == 1 else zero.copy()
-            for i in range(1, self.s):
-                # mask[k] &= zero[(k + shift) mod n], the wrap as a second slice
-                shift = i * self.subfield_embedding % n
-                mask[: n - shift] &= zero[shift:]
-                mask[n - shift :] &= zero[:shift]
+            n, t = self.r - 1, self.core.trace_by_log()
+            mask = t == 0
+            shifts = [i * self.subfield_embedding % n for i in range(1, self.s)]
+            for lo in range(0, n if shifts else 0, SCRATCH_BLOCK):
+                zero = t[lo : lo + SCRATCH_BLOCK] == 0
+                for shift in shifts:
+                    # mask[k] &= zero at k + shift mod n: the block lands at
+                    # lo - shift mod n and wraps past n - 1 at most once
+                    k = (lo - shift) % n
+                    mask[k : k + len(zero)] &= zero[: n - k]
+                    if k + len(zero) > n:
+                        mask[: k + len(zero) - n] &= zero[n - k :]
+                del zero  # else the next block is made beside it
             self._traceq_zero = mask
         return self._traceq_zero
 

@@ -181,7 +181,7 @@ def test_period_set_is_its_canonical_count_matrix():
             ps = cyclotomy.gaussian_periods_exact(t, N)
             hist = _trace_histogram(t, N)
             assert (ps.counts == hist - hist[:, -1:]).all(), (p, s, m, N)
-            assert ps.counts.dtype == np.int32
+            assert ps.counts.dtype == np.min_scalar_type(-((t.r - 1) // N) - 1)
             assert not ps.counts.flags.writeable
             with pytest.raises(ValueError):
                 ps.counts[0, 0] = 1
@@ -257,12 +257,12 @@ def test_class_trace_histogram_blocks(monkeypatch, p, d, N, block):
     ).reshape(N, p)
     monkeypatch.setattr(cyclotomy, "SCRATCH_BLOCK", block)
     got = cyclotomy._class_trace_histogram(tr, N, p)
-    assert got.dtype == np.int32 and (got == want).all()
+    assert got.dtype == np.min_scalar_type(-(len(tr) // N) - 1) and (got == want).all()
 
 
 def test_period_histogram_peak_memory():
     # the histogram is counted a block of classes at a time, so no int64
-    # (N, p) array is ever alive beside the int32 matrix
+    # (N, p) array is ever alive beside the narrow matrix
     N, p = 2002, 2003
     tower = FieldTower(p, 1, 1, _Core(p, 1))
     tracemalloc.start()
@@ -273,6 +273,39 @@ def test_period_histogram_peak_memory():
         tracemalloc.stop()
     assert ps.product_rule_checked
     assert peak < 1.25 * ps.counts.nbytes, peak / ps.counts.nbytes
+
+
+@pytest.mark.parametrize("p,d,N,dtype", [
+    (2, 7, 1, np.int8),  # n = 127
+    (257, 1, 2, np.int16),  # n = 128
+    (2, 15, 1, np.int16),  # n = 2^15 - 1
+    (65537, 1, 2, np.int32),  # n = 2^15
+])
+def test_count_matrix_is_the_narrowest_dtype_that_holds_n(p, d, N, dtype):
+    t = build_tower(p, 1, d)
+    n = (t.r - 1) // N
+    ps = cyclotomy.gaussian_periods_exact(t, N)
+    assert ps.counts.dtype == dtype
+    # the first signed type whose range [-max - 1, max] holds [-n, n]
+    assert dtype == next(w for w in (np.int8, np.int16, np.int32) if np.iinfo(w).max >= n)
+    ref = _trace_histogram(t, N)
+    ref -= ref[:, -1:]
+    assert (ps.counts == ref).all()
+    integral = not ref[:, 1:].any()
+    assert ps.integer_values == (tuple(ref[:, 0].tolist()) if integral else None)
+    assert [v.counts for v in ps.values] == [tuple(row) for row in ref.tolist()]
+    want = ref @ np.exp(2j * np.pi * np.arange(p) / p)
+    assert np.abs(ps.numeric() - want).max() < 1e-6
+
+
+def test_count_matrices_of_gf61_squared_fit_in_0_7_mib():
+    # the 32 orders of GF(61^2) take 2.68 MiB as int32 matrices; most have
+    # n < 128, so most are int8
+    t = FieldTower(61, 1, 2, _Core(61, 2))
+    orders = [N for N in range(1, t.r) if (t.r - 1) % N == 0]
+    assert len(orders) == 32
+    total = sum(cyclotomy.gaussian_periods_exact(t, N).counts.nbytes for N in orders)
+    assert total <= 0.7 * 2**20, total
 
 
 def _product_table(hist):
@@ -438,12 +471,12 @@ def test_smooth_length_is_the_least_5_smooth_bound():
 
 def test_table_product_check_peak_memory():
     # the orbit check compares a block of rows at a time and transforms two
-    # columns, one at a time: past the int32 histogram (4 bytes per entry),
-    # the trace sequence and the histogram's own scratch, it adds little.
-    # Each bound is below the 2-D spectrum check this replaced (20.8, 20.0
-    # and 25.4 bytes per entry on the first, second and last shape)
+    # columns, one at a time: past the narrow histogram (1 byte per entry on
+    # the first and last shape, 2 on the others), the trace sequence and the
+    # histogram's own scratch, it adds little.  On the last shape, where N
+    # is large beside p, the two column transforms set the peak
     for p, d, N, bound in [
-        (61, 2, 3720, 8.0), (601, 2, 300, 16.0), (601, 2, 600, 10.0), (3, 9, 19682, 23.0)
+        (61, 2, 3720, 3.0), (601, 2, 300, 13.0), (601, 2, 600, 8.0), (3, 9, 19682, 19.0)
     ]:
         tower = FieldTower(p, 1, d, _Core(p, d))
         tracemalloc.start()

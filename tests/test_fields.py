@@ -2,6 +2,7 @@ import gc
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -43,7 +44,7 @@ def _check_field(tower, ks):
     tr, log, succ = core.trace_by_log(), core.log_table(), core.succ_log()
     # t is as narrow as p allows; the log tables hold values up to r
     assert tr.dtype == np.min_scalar_type(tower.p - 1)
-    assert log.dtype == succ.dtype == np.int64
+    assert log.dtype == succ.dtype == np.int32
     assert tr.shape == succ.shape == (n,)
     assert log.shape == (tower.r,) and log[0] == -1
     splits = [FieldTower(tower.p, s, tower.degree // s, core)
@@ -274,6 +275,35 @@ def test_traceq_zero_by_log_matches_trace():
         assert z.shape == (t.r - 1,)
         for k in range(t.r - 1):
             assert z[k] == t.trace(t.alpha ** k, "r->q").is_zero
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 16])
+def test_traceq_zero_mask_blocks(monkeypatch, block):
+    # blocks of any size, wrapped runs included, AND to the whole-array mask
+    monkeypatch.setattr(fields, "SCRATCH_BLOCK", block)
+    for p, s, m in [(2, 2, 5), (2, 5, 2), (3, 3, 2), (5, 2, 2), (2, 4, 3)]:
+        t = FieldTower(p, s, m, _Core(p, s * m))
+        zero = t.core.trace_by_log() == 0
+        n = t.r - 1
+        want = np.logical_and.reduce(
+            [np.roll(zero, -(i * t.subfield_embedding % n)) for i in range(s)]
+        )
+        assert (t.traceq_zero_by_log() == want).all(), (p, s, m, block)
+
+
+def test_traceq_zero_mask_peak_memory():
+    # the mask is the one whole-field array built: past t, its r - 1 bytes
+    # and one SCRATCH_BLOCK of booleans
+    for p, s, m in [(2, 2, 10), (2, 10, 2), (3, 3, 4), (5, 2, 4)]:
+        t = FieldTower(p, s, m, _Core(p, s * m))
+        t.core.trace_by_log()
+        tracemalloc.start()
+        try:
+            t.traceq_zero_by_log()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.r - 1 + fields.SCRATCH_BLOCK + 4096, (p, s, m, peak - (t.r - 1))
 
 
 def test_modulus_override_independence():

@@ -93,7 +93,7 @@ def test_reprs():
     assert repr(cyclotomy.gaussian_periods_exact(tower, 3)) == (
         "GaussianPeriodSet(r=16, N=3, p=2, counts=array([[-3,  0],\n"
         "       [ 1,  0],\n"
-        "       [ 1,  0]], dtype=int32), product_rule_checked=True)"
+        "       [ 1,  0]], dtype=int8), product_rule_checked=True)"
     )
     assert repr(cyclotomy.cyclotomic_numbers(tower, 3)) == (
         "CyclotomicTable(r=16, N=3, counts=array([[0, 2, 2],\n"
