@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: dist, verify, bounds, periods, table1.  Every run emits either
-plain text or a single JSON record whose key set is identical across
-subcommands; values a command did not compute are null.  Weight and count
-values inside the record are decimal strings so that results beyond 64 bits
-survive any JSON reader.
+plain text or a single JSON record: one dict whose keys are `_SCHEMA`, in that
+order, for every subcommand; values a command did not compute are null.  Each
+command stores a value's JSON form as it computes it.  Weight and count values
+inside the record are decimal strings so that results beyond 64 bits survive
+any JSON reader.
 
 Only the enumerations of `verify`, `dist` and `periods` load numpy, after their
 size gates; a closed form or a size refusal never does.  Nor does a closed
@@ -20,120 +21,55 @@ import sys
 import time
 
 from . import closed_forms, errors, weights
-from .errors import DEFAULT_ENUM_BUDGET, _Record
+from .errors import DEFAULT_ENUM_BUDGET
 
 _METHODS = ("auto", "closed", "brute")
 
-
-class RunReport(_Record):
-    """Machine-readable record of one CLI run; round-trips through JSON.
-
-    Unlike the other records it is filled in as the run goes, so it takes
-    assignment and has no hash.  `__slots__` is the schema's key order.
-    """
-
-    __slots__ = (
-        "p", "s", "m", "N", "q", "r", "n", "N1", "m0", "method", "weights",
-        "divisor", "bounds", "thm14", "verify", "periods", "table", "elapsed_ms",
-    )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        p: int | None = None,
-        s: int | None = None,
-        m: int | None = None,
-        N: int | None = None,
-        q: int | None = None,
-        r: int | None = None,
-        n: int | None = None,
-        N1: int | None = None,
-        m0: int | None = None,
-        method: str | None = None,
-        weights: tuple[tuple[int, int], ...] | None = None,
-        divisor: int | None = None,
-        bounds: tuple[int, int] | None = None,
-        thm14: dict | None = None,
-        verify: dict | None = None,
-        periods: tuple[str, ...] | None = None,
-        table: tuple[dict, ...] | None = None,
-        elapsed_ms: float | None = None,
-    ):
-        self.p = p
-        self.s = s
-        self.m = m
-        self.N = N
-        self.q = q
-        self.r = r
-        self.n = n
-        self.N1 = N1
-        self.m0 = m0
-        self.method = method
-        self.weights = weights
-        self.divisor = divisor
-        self.bounds = bounds
-        self.thm14 = thm14
-        self.verify = verify
-        self.periods = periods
-        self.table = table
-        self.elapsed_ms = elapsed_ms
-
-    def record(self) -> dict:
-        """The JSON record, each field in its schema form."""
-        rec = {name: getattr(self, name) for name in self._fields}
-        if self.weights is not None:
-            rec["weights"] = [
-                {"w": str(w), "count": str(c)} for w, c in self.weights
-            ]
-        if self.bounds is not None:
-            rec["bounds"] = {"lower": self.bounds[0], "upper": self.bounds[1]}
-        if self.periods is not None:
-            rec["periods"] = list(self.periods)
-        if self.table is not None:
-            rec["table"] = [dict(row) for row in self.table]
-        return rec
-
-    def to_json(self) -> str:
-        return json.dumps(self.record())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        rec = json.loads(text)
-        if rec.get("weights") is not None:
-            rec["weights"] = tuple(
-                (int(e["w"]), int(e["count"])) for e in rec["weights"]
-            )
-        if rec.get("bounds") is not None:
-            rec["bounds"] = (rec["bounds"]["lower"], rec["bounds"]["upper"])
-        if rec.get("periods") is not None:
-            rec["periods"] = tuple(rec["periods"])
-        if rec.get("table") is not None:
-            rec["table"] = tuple(rec["table"])
-        return cls(**rec)
+# the keys of the JSON record, in output order
+_SCHEMA = (
+    "p", "s", "m", "N", "q", "r", "n", "N1", "m0", "method", "weights",
+    "divisor", "bounds", "thm14", "verify", "periods", "table", "elapsed_ms",
+)
 
 
-def _base_report(spec: weights.CodeSpec) -> RunReport:
-    return RunReport(
-        p=spec.p, s=spec.s, m=spec.m, N=spec.N,
-        q=spec.q, r=spec.r, n=spec.n, N1=spec.N1, m0=spec.m0,
-    )
+def _code_record(spec: weights.CodeSpec) -> dict:
+    """The record of a run on one code: its parameters set, every other key null."""
+    rec = dict.fromkeys(_SCHEMA)
+    rec.update(p=spec.p, s=spec.s, m=spec.m, N=spec.N, q=spec.q, r=spec.r,
+               n=spec.n, N1=spec.N1, m0=spec.m0)
+    return rec
 
 
-def _check_dict(check: weights.PeriodCheck) -> dict:
-    return {
+def _weights_json(dist: weights.WeightDistribution) -> list[dict]:
+    return [{"w": str(w), "count": str(c)} for w, c in dist.entries]
+
+
+def _record_bounds(rec: dict, spec: weights.CodeSpec) -> tuple[int, int, int]:
+    """Record the weight divisor and bounds of spec; return them."""
+    divisor = rec["divisor"] = weights.divisibility(spec)
+    lower, upper = weights.bounds(spec)
+    rec["bounds"] = {"lower": lower, "upper": upper}
+    return divisor, lower, upper
+
+
+def _record_check(rec: dict, check: weights.PeriodCheck) -> str:
+    """Record the three period checks; return their text line."""
+    rec["thm14"] = {
         "integral": check.integral,
         "congruent": check.congruent,
         "bounded": check.bounded,
     }
+    return " ".join(f"{key}={ok}" for key, ok in rec["thm14"].items())
 
 
-def _finish(rep: RunReport, t0: float, fmt: str, lines: list[str]) -> None:
-    rep.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+def _finish(rec: dict, t0: float, fmt: str, lines: list[str]) -> None:
+    extra = rec.keys() - _SCHEMA
+    if extra:
+        raise KeyError(f"keys outside the record schema: {sorted(extra)}")
+    rec["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     if fmt == "json":
         # written as it is encoded: a long periods list is never held twice
-        json.dump(rep.record(), sys.stdout)
+        json.dump(rec, sys.stdout)
         sys.stdout.write("\n")
     else:
         for line in lines:
@@ -162,12 +98,11 @@ def cmd_dist(args) -> int:
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
     dist = weights.weight_distribution(spec, args.method, budget=args.budget)
-    rep = _base_report(spec)
-    rep.method = dist.method
-    rep.weights = dist.entries
-    rep.divisor = weights.divisibility(spec)
-    rep.bounds = weights.bounds(spec)
-    _finish(rep, t0, args.format, [dist.enumerator_text()])
+    rec = _code_record(spec)
+    rec["method"] = dist.method
+    rec["weights"] = _weights_json(dist)
+    _record_bounds(rec, spec)
+    _finish(rec, t0, args.format, [dist.enumerator_text()])
     return 0
 
 
@@ -179,40 +114,36 @@ def cmd_verify(args) -> int:
     errors.require_tower_size(spec.p, spec.s * spec.m)
     from . import oracle
 
-    rep = _base_report(spec)
-    rep.divisor = weights.divisibility(spec)
-    rep.bounds = weights.bounds(spec)
+    rec = _code_record(spec)
+    divisor, lower, upper = _record_bounds(rec, spec)
     reference = oracle.brute_weight_distribution(spec, budget=args.budget)
     pset = weights.enumerated_periods(spec, spec.N1, budget=args.budget)
     check = weights.check_period_properties(spec, pset)
-    rep.thm14 = _check_dict(check)
     check_line = (
-        f"divisor = {rep.divisor} | bounds = [{rep.bounds[0]}, {rep.bounds[1]}]"
-        f" | integral={check.integral} congruent={check.congruent}"
-        f" bounded={check.bounded}"
+        f"divisor = {divisor} | bounds = [{lower}, {upper}] | {_record_check(rec, check)}"
     )
     try:
         closed = weights.weight_distribution(spec, args.method, budget=args.budget)
     except errors.Unsupported as exc:
-        rep.weights = reference.entries
-        _finish(rep, t0, args.format, [
+        rec["weights"] = _weights_json(reference)
+        _finish(rec, t0, args.format, [
             f"no closed form applies ({exc}); oracle result:",
             reference.enumerator_text(),
             check_line,
         ])
         return 3
-    rep.method = closed.method
-    rep.weights = closed.entries
+    rec["method"] = closed.method
+    rec["weights"] = _weights_json(closed)
     match = closed.entries == reference.entries
-    rep.verify = {"match": match, "oracle_method": reference.method}
+    rec["verify"] = {"match": match, "oracle_method": reference.method}
     if match:
-        _finish(rep, t0, args.format, [
+        _finish(rec, t0, args.format, [
             f"MATCH: {closed.method} == {reference.method}",
             closed.enumerator_text(),
             check_line,
         ])
         return 0
-    _finish(rep, t0, args.format, [
+    _finish(rec, t0, args.format, [
         f"MISMATCH: {closed.method} != {reference.method}",
         f"closed: {closed.enumerator_text()}",
         f"oracle: {reference.enumerator_text()}",
@@ -224,14 +155,13 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
-    rep = _base_report(spec)
-    rep.divisor = weights.divisibility(spec)
-    rep.bounds = weights.bounds(spec)
-    _finish(rep, t0, args.format, [
+    rec = _code_record(spec)
+    divisor, lower, upper = _record_bounds(rec, spec)
+    _finish(rec, t0, args.format, [
         f"[n, k] = [{spec.n}, {spec.m0}] over GF({spec.q})",
-        f"divisor = {rep.divisor}",
-        f"lower = {rep.bounds[0]}",
-        f"upper = {rep.bounds[1]}",
+        f"divisor = {divisor}",
+        f"lower = {lower}",
+        f"upper = {upper}",
     ])
     return 0
 
@@ -240,14 +170,14 @@ def cmd_periods(args) -> int:
     t0 = time.perf_counter()
     spec = weights.code_params(args.p, args.s, args.m, args.N)
     p, N, d = spec.p, spec.N, spec.s * spec.m
-    rep = _base_report(spec)
+    rec = _code_record(spec)
     found = None if args.method == "brute" else closed_forms.closed_periods(p, d, N)
     if found is not None:
         # every class gets its own printed value: refuse an order too large
         # to list before expanding the runs
         if N > args.budget:
             raise errors.SizeBudgetExceeded(f"periods of order {N} exceed budget {args.budget}")
-        rep.method, periods = found
+        method, periods = found
         values = [eta for eta, mult in periods for _ in range(mult)]
     elif args.method == "closed":
         raise errors.Unsupported(f"no closed form for periods of order {N} over GF({spec.r})")
@@ -255,24 +185,25 @@ def cmd_periods(args) -> int:
         pset = weights.enumerated_periods(spec, N, budget=args.budget)
         from . import cyclotomy
 
-        rep.method = "brute"
+        method = "brute"
         values = pset.integer_values
         if values is None:
             # irrational periods are only printed, and each costs O(p) to
             # render: render each count row once, building no RootOfUnitySum
-            rep.periods = tuple(cyclotomy.root_sum_text(p, row.tolist()) for row in pset.counts)
+            texts = [cyclotomy.root_sum_text(p, row.tolist()) for row in pset.counts]
     # the roots of a period polynomial carry no class labels
-    by_class = rep.method not in closed_forms.ROOTS_ONLY
+    by_class = method not in closed_forms.ROOTS_ONLY
 
     integral = values is not None
     if integral:
-        rep.periods = tuple(str(v) for v in values)
+        texts = [str(v) for v in values]
+    rec["method"], rec["periods"] = method, texts
     text = args.format == "text"
     lines = []
     if text and by_class and integral:
-        lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(rep.periods)))
+        lines.append(", ".join(f"eta_{i} = {v}" for i, v in enumerate(texts)))
     elif text and by_class:
-        lines.extend(f"eta_{i} = {v}" for i, v in enumerate(rep.periods))
+        lines.extend(f"eta_{i} = {v}" for i, v in enumerate(texts))
     if text and N in (3, 4):
         if integral:
             coeffs = closed_forms.expand_roots((v, 1) for v in values)
@@ -284,16 +215,12 @@ def cmd_periods(args) -> int:
         lines.append(f"polynomial: {_poly_text(coeffs)}")
         if not by_class:
             lines.append(
-                "roots: {" + ", ".join(rep.periods) + "} (class assignment not determined)"
+                "roots: {" + ", ".join(texts) + "} (class assignment not determined)"
             )
     if spec.N1 == N and integral:
         check = weights.check_period_properties(spec, values)
-        rep.thm14 = _check_dict(check)
-        lines.append(
-            f"integral={check.integral} congruent={check.congruent}"
-            f" bounded={check.bounded}"
-        )
-    _finish(rep, t0, args.format, lines)
+        lines.append(_record_check(rec, check))
+    _finish(rec, t0, args.format, lines)
     return 0
 
 
@@ -334,7 +261,8 @@ def table1_rows() -> list[dict]:
 def cmd_table1(args) -> int:
     t0 = time.perf_counter()
     rows = table1_rows()
-    rep = RunReport(table=tuple(rows))
+    rec = dict.fromkeys(_SCHEMA)
+    rec["table"] = rows
     lines = ["  n  k    d  q  computed  printed  residue"]
     for row in rows:
         mark = "agree" if row["agree"] else "DISAGREE"
@@ -343,7 +271,7 @@ def cmd_table1(args) -> int:
             f"  {row['computed_bound']:>8}  {row['printed_bound']:>7}"
             f"  {row['residue']:>7}  {mark}"
         )
-    _finish(rep, t0, args.format, lines)
+    _finish(rec, t0, args.format, lines)
     return 0
 
 

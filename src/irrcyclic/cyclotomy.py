@@ -207,13 +207,6 @@ class GaussianPeriodSet(_Record):
         return self.counts @ np.exp(2j * np.pi * np.arange(self.p) / self.p)
 
 
-def _theta_flags(p: int, r: int, N: int) -> np.ndarray:
-    """theta[k] = 1 iff -1 lies in the k-th cyclotomic class of order N."""
-    theta = np.zeros(N, dtype=np.int64)
-    theta[dlog_of_minus_one(p, r) % N] = 1
-    return theta
-
-
 def _check_sum_rule(p: int, tr_hist: np.ndarray) -> None:
     """The trace histogram of the whole field, canonicalised, is (-1, 0, ..., 0)."""
     total = tr_hist - tr_hist[-1]
@@ -221,18 +214,20 @@ def _check_sum_rule(p: int, tr_hist: np.ndarray) -> None:
         raise AssertionError("period sum identity failed")
 
 
-def _check_product_rule_int(values: np.ndarray, r: int, N: int, theta: np.ndarray) -> bool:
-    """sum_i eta_i * eta_{i+k} = r*theta_k - n for every k.  k = 0 comes first,
-    in integers (max eta^2 <= r, so the int64 dot product cannot wrap); it
-    bounds every correlation by r, so the float FFT one rounds exactly."""
-    target = r * theta - (r - 1) // N
+def _check_product_rule_int(values: np.ndarray, r: int, N: int, h: int) -> bool:
+    """sum_i eta_i * eta_{i+k} = r*theta_k - n for every k, where theta_k = 1
+    at k = h = dlog(-1) mod N, the class of -1, and 0 elsewhere.  k = 0 comes
+    first, in integers (max eta^2 <= r, so the int64 dot product cannot wrap);
+    it bounds every correlation by r, so the float FFT one rounds exactly."""
+    n = (r - 1) // N
     # int64 first: np.dot of a narrow count vector wraps
     a = values.astype(np.int64)
-    if int(np.abs(a).max()) ** 2 > r or int(np.dot(a, a)) != target[0]:
+    if int(np.abs(a).max()) ** 2 > r or int(np.dot(a, a)) != r * (h == 0) - n:
         raise AssertionError("period product identity failed")
     f = np.fft.rfft(a.astype(np.float64))
     corr = np.rint(np.fft.irfft(f * f.conj(), N))
-    if not (corr == target).all():
+    corr[h] -= r
+    if not (corr == -n).all():
         raise AssertionError("period product identity failed")
     return True
 
@@ -285,7 +280,7 @@ def _autocorrelation(x: np.ndarray) -> np.ndarray:
     return np.rint(lin[:N]).astype(np.int64)
 
 
-def _check_product_rule_orbit(hist: np.ndarray, core, N: int, theta: np.ndarray) -> bool:
+def _check_product_rule_orbit(hist: np.ndarray, core, N: int, h: int) -> bool:
     """Exact product check for irrational periods over GF(p^d), d > 1.
 
     a0 = alpha^g with g = (r - 1)/(p - 1) generates GF(p)*, and x -> a0 x
@@ -294,11 +289,12 @@ def _check_product_rule_orbit(hist: np.ndarray, core, N: int, theta: np.ndarray)
     On such a histogram the product table T_k[c] = sum_i sum_{a+b=c}
     hist[i, a] hist[i+k, b] is the same for every c != 0 and sums to N n^2
     over c, so its canonical value is (p T_k[0] - N n^2) / (p - 1), and the
-    identity p T_k[0] - N n^2 = (p - 1)(r theta_k - n) solves to
-    T_k[0] = n (r/p - 1) + (p - 1)(r/p) theta_k.  A nonzero trace a0^j reads
-    column 1 shifted by g j rows, and -a0^j the same shifted by a further
-    dlog(-1), so T_k[0] = C0[k] + (p - 1) C1[k - dlog(-1)], where C0 and C1
-    are the cyclic autocorrelations of columns 0 and 1.
+    identity p T_k[0] - N n^2 = (p - 1)(r theta_k - n), with theta_k = [k = h]
+    for h = dlog(-1) mod N, solves to T_k[0] = n (r/p - 1) + (p - 1)(r/p)
+    theta_k.  A nonzero trace a0^j reads column 1 shifted by g j rows, and
+    -a0^j the same shifted by a further h, so T_k[0] = C0[k] + (p - 1)
+    C1[k - h], where C0 and C1 are the cyclic autocorrelations of columns 0
+    and 1.
     """
     p, r = core.p, core.r
     n, g = (r - 1) // N, (r - 1) // (p - 1)
@@ -309,11 +305,11 @@ def _check_product_rule_orbit(hist: np.ndarray, core, N: int, theta: np.ndarray)
     c = _autocorrelation(hist[:, 0])
     c1 = _autocorrelation(hist[:, 1])
     c1 *= p - 1
-    shift = dlog_of_minus_one(p, r) % N
-    c[shift:] += c1[: N - shift]
-    c[:shift] += c1[N - shift :]
+    c[h:] += c1[: N - h]
+    c[:h] += c1[N - h :]
     q = r // p
-    if not (c == n * (q - 1) + (p - 1) * q * theta).all():
+    c[h] -= (p - 1) * q
+    if not (c == n * (q - 1)).all():
         raise AssertionError("period product identity failed")
     return True
 
@@ -413,16 +409,16 @@ def gaussian_periods_exact(
         return hit
     hist = _class_trace_histogram(core.trace_by_log(), N, p)
     _check_sum_rule(p, hist.sum(axis=0))
-    theta = _theta_flags(p, r, N)
+    h = dlog_of_minus_one(p, r) % N
     # a period is an integer when its row is constant off column 0.  The
     # counts lie in [0, n], so np.ptp, the column difference and the
     # canonical form below lie in [-n, n] and cannot wrap in hist's dtype
     if not np.ptp(hist[:, 1:], axis=1).any():
-        checked = _check_product_rule_int(hist[:, 0] - hist[:, -1], r, N, theta)
+        checked = _check_product_rule_int(hist[:, 0] - hist[:, -1], r, N, h)
     elif core.d == 1:
         checked = _check_product_rule_prime_field(hist, core, N)
     else:
-        checked = _check_product_rule_orbit(hist, core, N, theta)
+        checked = _check_product_rule_orbit(hist, core, N, h)
     # canonical form in place: a copy would double the largest array here,
     # and numpy makes one to resolve an overlap unless the column is copied
     hist -= hist[:, -1:].copy()
@@ -467,8 +463,10 @@ def cyclotomic_numbers(
     key = (k[valid] % N) * N + (slog[valid] % N)
     counts = np.bincount(key, minlength=N * N).reshape(N, N)
     n = (r - 1) // N
-    theta = _theta_flags(p, r, N)
-    if not (counts.sum(axis=1) == n - theta).all():
+    # every x of C_i has x + 1 nonzero, but -1 in C_h
+    rows = counts.sum(axis=1)
+    rows[dlog_of_minus_one(p, r) % N] += 1
+    if not (rows == n).all():
         raise AssertionError("cyclotomic row sums failed")
     if counts.sum() != r - 2:
         raise AssertionError("cyclotomic numbers must count every x with x, x + 1 nonzero")

@@ -3,8 +3,9 @@
 Elements are polynomial residues modulo a fixed irreducible polynomial over
 the prime field.  Each tower fixes a distinguished primitive element alpha
 of the top field; discrete logs, traces and whole-field enumeration are all
-expressed relative to alpha.  Every whole-field array derives from one
-sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
+expressed relative to alpha.  A single discrete log is a baby-step giant-step
+search; the log tables serve the whole-field enumerations alone.  Every
+whole-field array derives from one sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
 characteristic and top degree share the heavy per-field data (modulus,
 alpha, trace sequence, log table) through a small cache, so sweeping over
 subfield structures is cheap.  The core holds alpha as a packed int and a
@@ -44,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numtheory
-from .errors import DEFAULT_ENUM_BUDGET, ZeroHasNoLog, require_tower_size
+from .errors import ZeroHasNoLog, require_tower_size
 
 # entries of a scratch block: the trace sequence is summed, and the period
 # histograms in cyclotomy are keyed, this many elements at a time
@@ -465,16 +466,6 @@ class _Core:
                 codes += t[i : i + n]
         return codes
 
-    def window_code(self, x: int) -> int:
-        """Window encoding sum_i Tr(alpha^i x) p^i of the packed residue x."""
-        mul, alpha = self.ring.mul, self.alpha
-        code, scale = 0, 1
-        for _ in range(self.d):
-            code += self._trace(x) * scale
-            scale *= self.p
-            x = mul(x, alpha)
-        return code
-
     # -- whole-field arrays, all lazy
 
     def trace_by_log(self) -> np.ndarray:
@@ -488,9 +479,11 @@ class _Core:
         return self._trace_by_log
 
     def log_table(self) -> np.ndarray:
-        """table[window_code(x)] = discrete log of x, -1 for zero.
+        """table[c] = k where c = sum_i Tr(alpha^(k+i)) p^i is the window
+        code of alpha^k, and -1 at c = 0, the code of zero.
 
-        An r-entry array: callers have already passed an enumeration budget.
+        An r-entry array, read by `succ_log`: callers have already passed an
+        enumeration budget.  A single discrete log never builds it.
         """
         if self._log is None:
             # a log is below r <= TOWER_CAP < 2^31
@@ -687,17 +680,11 @@ class FieldTower:
         return FieldElement(self, ring.sum(conj))
 
     def discrete_log(self, x: FieldElement) -> int:
-        """The k with alpha^k = x: a table lookup within the default enumeration
-        budget, baby-step giant-step above it, so no one-off log builds a
-        whole-field table."""
+        """The k with alpha^k = x, by baby-step giant-step: O(sqrt(r))
+        products and no whole-field table."""
         v = self._residue(x)
         if not v:
             raise ZeroHasNoLog("zero is not a power of alpha")
-        if self.r <= DEFAULT_ENUM_BUDGET:
-            return int(self.core.log_table()[self.core.window_code(v)])
-        return self._bsgs(x)
-
-    def _bsgs(self, x: FieldElement) -> int:
         mul, alpha, n = self.core.ring.mul, self.core.alpha, self.r - 1
         step = math.isqrt(n - 1) + 1
         baby, cur = {}, 1
@@ -705,7 +692,7 @@ class FieldTower:
             baby.setdefault(cur, j)
             cur = mul(cur, alpha)
         giant = self.core.ring.pow(alpha, n - step)  # alpha^(-step)
-        cur = x.value
+        cur = v
         for i in range(step + 1):
             j = baby.get(cur)
             if j is not None:

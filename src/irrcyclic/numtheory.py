@@ -12,7 +12,12 @@ import functools
 import math
 from typing import Iterator
 
-from .errors import BadDiscriminant, NoRepresentation, NotCoprime, NotPrime
+from .errors import BadDiscriminant, NoRepresentation, NotCoprime, NotPrime, Unsupported
+
+# the most candidates y one norm-form scan tries.  The longest scan that
+# answers a spec, `dist --p 13 --s 1 --m 24 --N 4` (thm21), tries 2,413,405
+# in about a second; the shortest of the known hangs tries 407,865,361
+NORM_SCAN_CAP = 1 << 22
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -324,7 +329,13 @@ def class_number(l: int) -> int:
 def _norm_form_points(D: int, M: int, y: int) -> Iterator[tuple[int, int]]:
     """Every (x, y) with x^2 + D*y^2 = M from the given y up: y ascending,
     +x before -x, and x = 0 once.  The one O(sqrt(M/D)) scan behind the three
-    solvers below, each of which filters it by its own admissibility rule."""
+    solvers below, each of which filters it by its own admissibility rule.
+    A scan of more than NORM_SCAN_CAP candidates is refused before it starts."""
+    length = math.isqrt(M // D) - y + 1
+    if length > NORM_SCAN_CAP:
+        raise Unsupported(
+            f"solving x^2 + {D} y^2 = M takes {length} candidates, past the cap {NORM_SCAN_CAP}"
+        )
     while D * y * y <= M:
         rest = M - D * y * y
         x = math.isqrt(rest)

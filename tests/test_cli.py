@@ -291,11 +291,21 @@ def test_json_verify_block(capsys):
     ("table1",),
 ], ids=["verify", "periods-irrational", "table1"])
 def test_report_roundtrip(capsys, argv):
+    # one plain JSON object per run, its keys in schema order: encoding the
+    # parsed record again gives the printed line byte for byte
     rc, out = run(capsys, *argv, "--format", "json")
     assert rc == 0
-    rep = cli.RunReport.from_json(out)
-    assert rep.to_json() == json.dumps(json.loads(out))
-    assert cli.RunReport.from_json(rep.to_json()) == rep
+    rec = json.loads(out)
+    assert tuple(rec) == cli._SCHEMA
+    assert json.dumps(rec) + "\n" == out
+
+
+def test_a_key_outside_the_schema_is_refused(capsys):
+    rec = dict.fromkeys(cli._SCHEMA)
+    rec["weight"] = []
+    with pytest.raises(KeyError, match="'weight'"):
+        cli._finish(rec, 0.0, "json", [])
+    assert capsys.readouterr().out == ""
 
 
 def test_table1_rows_helper():
@@ -372,6 +382,12 @@ def _limit_memory():
     # before it is allocated
     (["periods", "--p", "4194301", "--s", "1", "--m", "1", "--N", "4194300",
       "--method", "brute"], 3, None),
+    # a norm-form scan past its cap is refused before it starts: thm19, thm21
+    # at two degrees and thm22 would each scan for hours
+    (["dist", "--p", "7", "--s", "1", "--m", "300", "--N", "3"], 3, None),
+    (["dist", "--p", "13", "--s", "1", "--m", "32", "--N", "4"], 3, None),
+    (["dist", "--p", "13", "--s", "1", "--m", "40", "--N", "4"], 3, None),
+    (["dist", "--p", "1000000000000000000000183", "--s", "1", "--m", "3", "--N", "7"], 3, None),
 ])
 def test_large_specs_end_promptly(argv, rc, method):
     fmt = [] if "--format" in argv else ["--format", "json"]

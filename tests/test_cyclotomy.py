@@ -213,18 +213,18 @@ def _move_one_count(hist):
 def test_product_checks_catch_a_moved_count():
     t = build_tower(3, 1, 3)
     hist = _trace_histogram(t, 2)
-    theta = cyclotomy._theta_flags(3, t.r, 2)
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, 2, theta)
+    h = cyclotomy.dlog_of_minus_one(3, t.r) % 2
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, 2, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 2, theta)
+        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 2, h)
     # odd p and N > 2 with irrational periods
     t = build_tower(7, 1, 2)
     assert cyclotomy.gaussian_periods_exact(t, 3).integer_values is None
     hist = _trace_histogram(t, 3)
-    theta = cyclotomy._theta_flags(7, t.r, 3)
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, 3, theta)
+    h = cyclotomy.dlog_of_minus_one(7, t.r) % 3
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, 3, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 3, theta)
+        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 3, h)
     t = build_tower(7, 1, 1)
     hist = _trace_histogram(t, 2)
     assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)
@@ -377,15 +377,16 @@ def test_orbit_product_check_matches_the_reference(p, d):
         if not np.ptp(hist[:, 1:], axis=1).any():
             continue  # integer periods
         orders += 1
-        theta = cyclotomy._theta_flags(p, t.r, N)
+        h = cyclotomy.dlog_of_minus_one(p, t.r) % N
         table = _product_table(hist)
         table -= table[:, -1:]
         assert not table[:, 1:].any(), (p, d, N)
+        theta = np.arange(N) == h
         assert (table[:, 0] == t.r * theta - (t.r - 1) // N).all(), (p, d, N)
-        assert cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+        assert cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
         for move in (_moved_between_columns, _moved_between_rows, _move_one_count):
             with pytest.raises(AssertionError, match="period product identity failed"):
-                cyclotomy._check_product_rule_orbit(move(hist), t.core, N, theta)
+                cyclotomy._check_product_rule_orbit(move(hist), t.core, N, h)
     assert orders
 
 
@@ -405,19 +406,19 @@ def test_orbit_check_reads_the_row_sums():
         bad[(i + 3) % N, c] += 1
     assert cyclotomy._orbit_invariant(bad, g % N, a0)
     assert (bad.sum(axis=1) != hist.sum(axis=1)).any()
-    theta = cyclotomy._theta_flags(p, t.r, N)
+    h = cyclotomy.dlog_of_minus_one(p, t.r) % N
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(bad, t.core, N, theta)
+        cyclotomy._check_product_rule_orbit(bad, t.core, N, h)
 
 
 @pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720), (601, 2, 600)])
 def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d, N):
     t = build_tower(p, 1, d)
     hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
-    theta = cyclotomy._theta_flags(p, t.r, N)
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+    h = cyclotomy.dlog_of_minus_one(p, t.r) % N
+    assert cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_moved_between_columns(hist), t.core, N, theta)
+        cyclotomy._check_product_rule_orbit(_moved_between_columns(hist), t.core, N, h)
 
 
 def test_table_product_check_reads_every_column(monkeypatch):
@@ -426,7 +427,7 @@ def test_table_product_check_reads_every_column(monkeypatch):
     t = build_tower(7, 1, 4)
     N, p = 80, 7
     hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
-    theta = cyclotomy._theta_flags(p, t.r, N)
+    h = cyclotomy.dlog_of_minus_one(p, t.r) % N
     good = cyclotomy._autocorrelation
     for column, k in [(0, 0), (0, 3), (1, 0), (1, 77)]:
         calls = []
@@ -440,7 +441,7 @@ def test_table_product_check_reads_every_column(monkeypatch):
 
         monkeypatch.setattr(cyclotomy, "_autocorrelation", off_by_one)
         with pytest.raises(AssertionError, match="period product identity failed"):
-            cyclotomy._check_product_rule_orbit(hist, t.core, N, theta)
+            cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
         assert len(calls) == 2
 
 
@@ -495,6 +496,9 @@ def test_periods_invalid_order():
         cyclotomy.gaussian_periods_exact(t, 3)
     with pytest.raises(SizeBudgetExceeded):
         cyclotomy.gaussian_periods_exact(t, 2, budget=4)
+    # within the budget, but its (N, p) count matrix is past TOWER_CAP entries
+    with pytest.raises(SizeBudgetExceeded, match="65536 x 65537 counts, past the cap"):
+        cyclotomy.gaussian_periods_exact(build_tower(65537, 1, 1), 65536)
 
 
 def test_bad_order_has_the_code_params_text():
@@ -529,10 +533,10 @@ def test_product_rule_checked_at_every_enumerable_size(d, N, budget):
 def test_int_product_check_refuses_huge_periods():
     # squares near 2^80 would wrap an int64 dot product; the integer bound
     # max eta^2 <= r refuses them before any dot product is taken
-    theta = cyclotomy._theta_flags(7, 7, 2)
+    h = cyclotomy.dlog_of_minus_one(7, 7) % 2
     for values in ([2**40, -(2**40) - 1], [3, 2**40 + 5]):
         with pytest.raises(AssertionError, match="period product identity failed"):
-            cyclotomy._check_product_rule_int(np.array(values, dtype=np.int64), 7, 2, theta)
+            cyclotomy._check_product_rule_int(np.array(values, dtype=np.int64), 7, 2, h)
 
 
 # -- numeric bridges
@@ -627,10 +631,10 @@ def test_period_checks_hold_under_optimize():
         "checks = [\n"
         "    lambda: cyclotomy._check_sum_rule(7, np.array([1, 0, 0, 0, 0, 0, 0])),\n"
         "    lambda: cyclotomy._check_product_rule_int(\n"
-        "        np.array([1, 2]), 7, 2, cyclotomy._theta_flags(7, 7, 2)),\n"
+        "        np.array([1, 2]), 7, 2, cyclotomy.dlog_of_minus_one(7, 7) % 2),\n"
         "    lambda: closed_forms.PeriodPolynomial(3, 7, (0, 0, 0, 1), ((1, 3),)),\n"
         "    lambda: cyclotomy._check_product_rule_orbit(\n"
-        "        hist, tower.core, 2, cyclotomy._theta_flags(3, 27, 2)),\n"
+        "        hist, tower.core, 2, cyclotomy.dlog_of_minus_one(3, 27) % 2),\n"
         "]\n"
         "for check in checks:\n"
         "    try:\n"

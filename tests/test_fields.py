@@ -38,8 +38,10 @@ LARGE_FIELDS = [(2, 16), (3, 10), (65521, 1), (251, 2), (257, 2), (65537, 1),
 
 def _check_field(tower, ks):
     """Compare the whole-field arrays of tower's field with element-wise
-    arithmetic at the logs ks, on every subfield split, and the log tables
-    with baby-step giant-step on a sample of ks."""
+    arithmetic at the logs ks, on every subfield split, and discrete_log with
+    the log tables on a sample of ks.  The successor log at k reads the log
+    table at the code of alpha^k + 1, so every nonzero code but that of 1 is
+    checked at some k."""
     core, n = tower.core, tower.r - 1
     tr, log, succ = core.trace_by_log(), core.log_table(), core.succ_log()
     # t is as narrow as p allows; the log tables hold values up to r
@@ -57,15 +59,14 @@ def _check_field(tower, ks):
         assert tr[k] == tower.trace(x, "r->p").coeffs[0]
         for t, z in zip(splits, masks):
             assert z[k] == t.trace(x, "r->q").is_zero
-        assert tower.discrete_log(x) == k
         y = x + tower.one
         if succ[k] < 0:
             assert y.is_zero
         else:
             assert tower.alpha ** int(succ[k]) == y
         if k in sampled:
-            assert tower._bsgs(x) == k
-            assert y.is_zero or tower._bsgs(y) == succ[k]
+            assert tower.discrete_log(x) == k
+            assert y.is_zero or tower.discrete_log(y) == succ[k]
 
 
 def test_build_tower_embedding_example():
@@ -164,21 +165,16 @@ def test_discrete_log_roundtrip():
         t.discrete_log(t.zero)
 
 
-def test_discrete_log_bsgs_matches_table():
-    t = build_tower(3, 1, 4)
-    for k in range(0, t.r - 1, 7):
-        x = t.alpha ** k
-        assert t._bsgs(x) == t.discrete_log(x)
-
-
-def test_discrete_log_past_the_budget_builds_no_table():
-    # r = 3^14 is above the default enumeration budget, so logs come from
-    # baby-step giant-step and the whole-field log table is never built
-    t = build_tower(3, 1, 14)
-    assert t.r > DEFAULT_ENUM_BUDGET
-    for k in (0, 1, 12345, t.r - 2):
-        assert t.discrete_log(t.alpha ** k) == k
-    assert t.core._log is None
+def test_discrete_log_builds_no_log_table():
+    # logs come from baby-step giant-step at every field size, within the
+    # default enumeration budget (3^4) and past it (3^14): no one-off log
+    # builds the whole-field log table
+    for d in (4, 14):
+        t = FieldTower(3, 1, d, _Core(3, d))
+        assert (t.r > DEFAULT_ENUM_BUDGET) == (d == 14)
+        for k in (0, 1, 7, 45, t.r // 3, t.r - 2):
+            assert t.discrete_log(t.alpha ** k) == k
+        assert t.core._log is None
 
 
 def test_element_arithmetic():

@@ -35,3 +35,7 @@ def test_golden_ops_reproduce():
         if [rc, check.digest(rc, out.getvalue())] != want:
             moved.append(line)
     assert not moved, moved
+
+
+def test_cli_schema_is_the_checked_schema():
+    assert cli._SCHEMA == _load_check().SCHEMA_KEYS

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irrcyclic import numtheory as nt
-from irrcyclic.errors import NoRepresentation, NotCoprime, NotPrime
+from irrcyclic.errors import BadDiscriminant, NoRepresentation, NotCoprime, NotPrime, Unsupported
 
 
 def _sieve(limit):
@@ -222,6 +222,10 @@ def test_class_number_examples():
     assert nt.class_number(7) == 1
     assert nt.class_number(11) == 1
     assert nt.class_number(23) == 3
+    # -3 and -l for l = 1 (mod 4) are outside the family
+    for l in (3, 5, 13):
+        with pytest.raises(BadDiscriminant):
+            nt.class_number(l)
 
 
 def test_class_number_against_residue_count():
@@ -311,6 +315,11 @@ def test_norm_form_scan():
                   if x * x + D * y * y == M]
         want = sorted(points, key=lambda xy: (xy[1], -xy[0]))
         assert list(nt._norm_form_points(D, M, 0)) == want
+    # a scan of NORM_SCAN_CAP candidates runs; one more is refused up front
+    cap = nt.NORM_SCAN_CAP
+    assert next(nt._norm_form_points(1, (cap - 1) ** 2, 0)) == (cap - 1, 0)
+    with pytest.raises(Unsupported, match="past the cap"):
+        next(nt._norm_form_points(1, cap * cap, 0))
 
 
 def test_solvers_return_plain_tuples():

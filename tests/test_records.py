@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from irrcyclic import cli, closed_forms, cyclotomy, oracle, weights
+from irrcyclic import closed_forms, cyclotomy, oracle, weights
 from irrcyclic.fields import build_tower
 
 
@@ -106,11 +106,6 @@ def test_reprs():
         " entries=(<0 in GF(2^4)>, <1 in GF(2^4)>, <1 in GF(2^4)>, <1 in GF(2^4)>,"
         " <1 in GF(2^4)>))"
     )
-    assert repr(cli.RunReport(p=3, method="thm18")) == (
-        "RunReport(p=3, s=None, m=None, N=None, q=None, r=None, n=None, N1=None,"
-        " m0=None, method='thm18', weights=None, divisor=None, bounds=None,"
-        " thm14=None, verify=None, periods=None, table=None, elapsed_ms=None)"
-    )
 
 
 def test_semiprimitive_periods_unpack():
@@ -132,19 +127,7 @@ def test_constructors_take_positions_and_keywords():
         weights.PeriodCheck(True, True)
 
 
-def test_run_report_is_a_mutable_keyword_record():
-    with pytest.raises(TypeError):
-        cli.RunReport(bogus=1)
-    rep = cli.RunReport(3, 1)
-    assert (rep.p, rep.s, rep.N) == (3, 1, None)
-    rep.N = 2
-    assert rep == cli.RunReport(p=3, s=1, N=2)
-    assert rep != cli.RunReport(p=3, s=1, N=4)
-    with pytest.raises(TypeError):
-        hash(rep)
-
-
 def test_records_pickle():
     spec = weights.code_params(3, 1, 4, 2)
-    for rec in (spec, weights.weight_distribution(spec), cli.RunReport(p=3, weights=((1, 2),))):
+    for rec in (spec, weights.weight_distribution(spec)):
         assert pickle.loads(pickle.dumps(rec)) == rec
