@@ -165,16 +165,24 @@ def test_discrete_log_roundtrip():
         t.discrete_log(t.zero)
 
 
-def test_discrete_log_builds_no_log_table():
-    # logs come from baby-step giant-step at every field size, within the
-    # default enumeration budget (3^4) and past it (3^14): no one-off log
-    # builds the whole-field log table
-    for d in (4, 14):
-        t = FieldTower(3, 1, d, _Core(3, d))
-        assert (t.r > DEFAULT_ENUM_BUDGET) == (d == 14)
-        for k in (0, 1, 7, 45, t.r // 3, t.r - 2):
-            assert t.discrete_log(t.alpha ** k) == k
-        assert t.core._log is None
+def test_discrete_log_bsgs_matches_table():
+    # baby-step giant-step agrees with the whole-field log table, read through
+    # succ_log at the code of alpha^k + 1, and builds no table of its own
+    t = FieldTower(3, 1, 4, _Core(3, 4))
+    logs = [t.discrete_log(t.alpha ** k + t.one) if k != (t.r - 1) // 2 else -1
+            for k in range(t.r - 1)]
+    assert t.core._log is None
+    assert logs == t.core.succ_log().tolist()
+
+
+def test_discrete_log_past_the_budget_builds_no_table():
+    # r = 3^14 is above the default enumeration budget, so the whole-field
+    # log table is never built
+    t = build_tower(3, 1, 14)
+    assert t.r > DEFAULT_ENUM_BUDGET
+    for k in (0, 1, 7, 45, 12345, t.r // 3, t.r - 2):
+        assert t.discrete_log(t.alpha ** k) == k
+    assert t.core._log is None
 
 
 def test_element_arithmetic():
