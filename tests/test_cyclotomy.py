@@ -214,22 +214,24 @@ def test_product_checks_catch_a_moved_count():
     t = build_tower(3, 1, 3)
     hist = _trace_histogram(t, 2)
     h = cyclotomy.dlog_of_minus_one(3, t.r) % 2
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, 2, h)
+    cyclotomy._check_period_identities(hist, t.core, 2, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 2, h)
+        cyclotomy._check_period_identities(_move_one_count(hist), t.core, 2, h)
     # odd p and N > 2 with irrational periods
     t = build_tower(7, 1, 2)
     assert cyclotomy.gaussian_periods_exact(t, 3).integer_values is None
     hist = _trace_histogram(t, 3)
     h = cyclotomy.dlog_of_minus_one(7, t.r) % 3
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, 3, h)
+    cyclotomy._check_period_identities(hist, t.core, 3, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_move_one_count(hist), t.core, 3, h)
+        cyclotomy._check_period_identities(_move_one_count(hist), t.core, 3, h)
+    # a prime field, where the histogram is a class indicator
     t = build_tower(7, 1, 1)
     hist = _trace_histogram(t, 2)
-    assert cyclotomy._check_product_rule_prime_field(hist, t.core, 2)
-    with pytest.raises(AssertionError, match="class indicator"):
-        cyclotomy._check_product_rule_prime_field(_move_one_count(hist), t.core, 2)
+    h = cyclotomy.dlog_of_minus_one(7, t.r) % 2
+    cyclotomy._check_period_identities(hist, t.core, 2, h)
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_period_identities(_move_one_count(hist), t.core, 2, h)
 
 
 def test_prime_field_check_catches_a_count_moved_between_classes():
@@ -241,9 +243,10 @@ def test_prime_field_check_catches_a_count_moved_between_classes():
     bad = hist.copy()
     bad[0, c], bad[1, c] = 0, 1
     assert (bad.sum(axis=0) == hist.sum(axis=0)).all()
-    assert cyclotomy._check_product_rule_prime_field(hist, t.core, 4)
-    with pytest.raises(AssertionError, match="must follow the class index"):
-        cyclotomy._check_product_rule_prime_field(bad, t.core, 4)
+    h = cyclotomy.dlog_of_minus_one(13, t.r) % 4
+    cyclotomy._check_period_identities(hist, t.core, 4, h)
+    with pytest.raises(AssertionError, match="period product identity failed"):
+        cyclotomy._check_period_identities(bad, t.core, 4, h)
 
 
 @pytest.mark.parametrize("block", [16, 64, 1 << 16])
@@ -363,19 +366,19 @@ def _moved_between_rows(hist):
 @pytest.mark.parametrize(
     "p,d",
     [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3),
-     (11, 2), (13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (31, 2)],
+     (11, 2), (13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (31, 2),
+     (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1), (31, 1)],
 )
 def test_orbit_product_check_matches_the_reference(p, d):
-    # every order N of irrational periods over GF(p^d), r <= 2^10: the
-    # double sum's canonical table is (r theta_k - n, 0, ..., 0), the orbit
-    # check accepts the true histogram and refuses each moved count
+    # every order N > 1 over GF(p^d), r <= 2^10, with integer, prime-field
+    # and irrational periods alike: the double sum's canonical table is
+    # (r theta_k - n, 0, ..., 0), the one check accepts the true histogram
+    # and refuses each moved count
     t = build_tower(p, 1, d)
     tr = t.core.trace_by_log()
     orders = 0
     for N in (N for N in range(2, t.r) if (t.r - 1) % N == 0):
         hist = cyclotomy._class_trace_histogram(tr, N, p)
-        if not np.ptp(hist[:, 1:], axis=1).any():
-            continue  # integer periods
         orders += 1
         h = cyclotomy.dlog_of_minus_one(p, t.r) % N
         table = _product_table(hist)
@@ -383,11 +386,32 @@ def test_orbit_product_check_matches_the_reference(p, d):
         assert not table[:, 1:].any(), (p, d, N)
         theta = np.arange(N) == h
         assert (table[:, 0] == t.r * theta - (t.r - 1) // N).all(), (p, d, N)
-        assert cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
+        cyclotomy._check_period_identities(hist, t.core, N, h)
         for move in (_moved_between_columns, _moved_between_rows, _move_one_count):
             with pytest.raises(AssertionError, match="period product identity failed"):
-                cyclotomy._check_product_rule_orbit(move(hist), t.core, N, h)
+                cyclotomy._check_period_identities(move(hist), t.core, N, h)
     assert orders
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 10])
+def test_one_check_reads_the_period_sum(d):
+    # over GF(2^d), a0 = 1 and the orbit law holds for any histogram, so a
+    # count moved from column 0 to column 1 of a row keeps every row sum
+    # and is caught by the period sum; one moved between rows is not
+    t = build_tower(2, 1, d)
+    tr = t.core.trace_by_log()
+    for N in (N for N in range(1, t.r) if (t.r - 1) % N == 0):
+        hist = cyclotomy._class_trace_histogram(tr, N, 2)
+        cyclotomy._check_period_identities(hist, t.core, N, 0)
+        i = int(np.flatnonzero(hist[:, 0])[0])
+        bad = hist.copy()
+        bad[i, 0] -= 1
+        bad[i, 1] += 1
+        with pytest.raises(AssertionError, match="period sum identity failed"):
+            cyclotomy._check_period_identities(bad, t.core, N, 0)
+        if N > 1:
+            with pytest.raises(AssertionError, match="period product identity failed"):
+                cyclotomy._check_period_identities(_moved_between_rows(hist), t.core, N, 0)
 
 
 def test_orbit_check_reads_the_row_sums():
@@ -408,7 +432,7 @@ def test_orbit_check_reads_the_row_sums():
     assert (bad.sum(axis=1) != hist.sum(axis=1)).any()
     h = cyclotomy.dlog_of_minus_one(p, t.r) % N
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(bad, t.core, N, h)
+        cyclotomy._check_period_identities(bad, t.core, N, h)
 
 
 @pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720), (601, 2, 600)])
@@ -416,9 +440,9 @@ def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d,
     t = build_tower(p, 1, d)
     hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
     h = cyclotomy.dlog_of_minus_one(p, t.r) % N
-    assert cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
+    cyclotomy._check_period_identities(hist, t.core, N, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
-        cyclotomy._check_product_rule_orbit(_moved_between_columns(hist), t.core, N, h)
+        cyclotomy._check_period_identities(_moved_between_columns(hist), t.core, N, h)
 
 
 def test_table_product_check_reads_every_column(monkeypatch):
@@ -441,7 +465,7 @@ def test_table_product_check_reads_every_column(monkeypatch):
 
         monkeypatch.setattr(cyclotomy, "_autocorrelation", off_by_one)
         with pytest.raises(AssertionError, match="period product identity failed"):
-            cyclotomy._check_product_rule_orbit(hist, t.core, N, h)
+            cyclotomy._check_period_identities(hist, t.core, N, h)
         assert len(calls) == 2
 
 
@@ -499,6 +523,12 @@ def test_periods_invalid_order():
     # within the budget, but its (N, p) count matrix is past TOWER_CAP entries
     with pytest.raises(SizeBudgetExceeded, match="65536 x 65537 counts, past the cap"):
         cyclotomy.gaussian_periods_exact(build_tower(65537, 1, 1), 65536)
+    # cyclotomic numbers of an order whose (N, N) table is past TOWER_CAP
+    # entries are refused before the successor-log table is built
+    core = _Core(2, 14)
+    with pytest.raises(SizeBudgetExceeded, match="16383 x 16383 counts, past the cap"):
+        cyclotomy.cyclotomic_numbers(FieldTower(2, 1, 14, core), 16383)
+    assert core._succ_log is None
 
 
 def test_bad_order_has_the_code_params_text():
@@ -528,15 +558,6 @@ def test_product_rule_checked_at_every_enumerable_size(d, N, budget):
     ps = cyclotomy.gaussian_periods_exact(t, N, budget=budget)
     assert time.perf_counter() - start < 1.0
     assert ps.integer_values is None and ps.product_rule_checked
-
-
-def test_int_product_check_refuses_huge_periods():
-    # squares near 2^80 would wrap an int64 dot product; the integer bound
-    # max eta^2 <= r refuses them before any dot product is taken
-    h = cyclotomy.dlog_of_minus_one(7, 7) % 2
-    for values in ([2**40, -(2**40) - 1], [3, 2**40 + 5]):
-        with pytest.raises(AssertionError, match="period product identity failed"):
-            cyclotomy._check_product_rule_int(np.array(values, dtype=np.int64), 7, 2, h)
 
 
 # -- numeric bridges
@@ -618,23 +639,26 @@ def test_quadratic_char_sum_matches_elementwise():
 
 
 def test_period_checks_hold_under_optimize():
-    # periods (1, 2) of order 2 over GF(7) break both identities; a monic
+    # a count of GF(8)'s order-1 histogram moved from trace 0 to trace 1
+    # breaks the sum identity; one of GF(64)'s order-3 histogram moved
+    # between rows breaks the product identity of integer periods; a monic
     # cubic whose roots do not expand to it breaks the polynomial check; a
-    # count of GF(27)'s order-2 histogram moved breaks the orbit check
+    # count of GF(27)'s order-2 histogram moved between traces breaks the
+    # product identity of irrational periods
     code = (
-        "import numpy as np\n"
         "from irrcyclic import closed_forms, cyclotomy, fields\n"
-        "tower = fields.build_tower(3, 1, 3)\n"
-        "hist = cyclotomy._class_trace_histogram(tower.core.trace_by_log(), 2, 3)\n"
-        "hist[0, 1] -= 1\n"
-        "hist[0, 2] += 1\n"
+        "def moved(p, d, N, a, b):\n"
+        "    tower = fields.build_tower(p, 1, d)\n"
+        "    hist = cyclotomy._class_trace_histogram(tower.core.trace_by_log(), N, p)\n"
+        "    hist[a] -= 1\n"
+        "    hist[b] += 1\n"
+        "    h = cyclotomy.dlog_of_minus_one(p, tower.r) % N\n"
+        "    return lambda: cyclotomy._check_period_identities(hist, tower.core, N, h)\n"
         "checks = [\n"
-        "    lambda: cyclotomy._check_sum_rule(7, np.array([1, 0, 0, 0, 0, 0, 0])),\n"
-        "    lambda: cyclotomy._check_product_rule_int(\n"
-        "        np.array([1, 2]), 7, 2, cyclotomy.dlog_of_minus_one(7, 7) % 2),\n"
+        "    moved(2, 3, 1, (0, 0), (0, 1)),\n"
+        "    moved(2, 6, 3, (0, 1), (1, 1)),\n"
         "    lambda: closed_forms.PeriodPolynomial(3, 7, (0, 0, 0, 1), ((1, 3),)),\n"
-        "    lambda: cyclotomy._check_product_rule_orbit(\n"
-        "        hist, tower.core, 2, cyclotomy.dlog_of_minus_one(3, 27) % 2),\n"
+        "    moved(3, 3, 2, (0, 1), (0, 2)),\n"
         "]\n"
         "for check in checks:\n"
         "    try:\n"
