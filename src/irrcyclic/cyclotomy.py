@@ -169,22 +169,23 @@ class GaussianPeriodSet(_Record):
     counts is the read-only (N, p) canonical count matrix, in the narrowest
     signed dtype that holds n = (r - 1)/N: period k is
     sum_t counts[k, t] * zeta_p**t with counts[k, p-1] = 0.  Compared by
-    identity; the __dict__ holds the cached properties.  product_rule_checked
-    is True for every period set, as both identities are checked at every
-    size; it stays while the benchmark's sweep reads it (ROADMAP item 6).
+    identity; the __dict__ holds the cached properties.  Both identities
+    are checked for every period set at every size, so the class attribute
+    product_rule_checked is always True; it stays while the benchmark's
+    sweep reads it (ROADMAP item 6).
     """
 
-    __slots__ = ("r", "N", "p", "counts", "product_rule_checked", "__dict__")
+    __slots__ = ("r", "N", "p", "counts", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    product_rule_checked = True
 
-    def __init__(self, r: int, N: int, p: int, counts: np.ndarray, product_rule_checked: bool):
+    def __init__(self, r: int, N: int, p: int, counts: np.ndarray):
         set_field = object.__setattr__
         set_field(self, "r", r)
         set_field(self, "N", N)
         set_field(self, "p", p)
         set_field(self, "counts", counts)
-        set_field(self, "product_rule_checked", product_rule_checked)
 
     def __len__(self) -> int:
         return self.N
@@ -376,7 +377,7 @@ def gaussian_periods_exact(
     # The counts lie in [0, n], so the result lies in [-n, n] and cannot wrap
     hist -= hist[:, -1:].copy()
     hist.flags.writeable = False
-    out = GaussianPeriodSet(r, N, p, hist, True)
+    out = GaussianPeriodSet(r, N, p, hist)
     core.cache[key] = out
     return out
 

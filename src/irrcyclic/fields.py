@@ -5,13 +5,15 @@ the prime field.  Each tower fixes a distinguished primitive element alpha
 of the top field; discrete logs, traces and whole-field enumeration are all
 expressed relative to alpha.  A single discrete log is a baby-step giant-step
 search; the log tables serve the whole-field enumerations alone.  Every
-whole-field array derives from one sequence, t[k] = Tr(alpha^k) down to GF(p).  Two towers with the same
-characteristic and top degree share the heavy per-field data (modulus,
-alpha, trace sequence, log table) through a small cache, so sweeping over
-subfield structures is cheap.  The core holds alpha as a packed int and a
-tower builds its elements on access, so no tower is in a reference cycle: a
-field the cache evicts is freed at once, and the cache's size bound is a
-bound on memory.
+whole-field array derives from one sequence, t[k] = Tr(alpha^k) down to
+GF(p), started from the d conjugates of alpha: their power sums are its
+first terms and their product, the minimal polynomial of alpha, is its
+recurrence.  Two towers with the same characteristic and top degree share
+the heavy per-field data (modulus, alpha, trace sequence, log table)
+through a small cache, so sweeping over subfield structures is cheap.  The
+core holds alpha as a packed int and a tower builds its elements on access,
+so no tower is in a reference cycle: a field the cache evicts is freed at
+once, and the cache's size bound is a bound on memory.
 
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
@@ -149,11 +151,6 @@ class _Ring2(_Ring):
             g, h = h, g
         return g == 1
 
-    def linear_form(self, w: tuple):
-        """The map a -> sum_i w_i a_i over GF(2), as a popcount."""
-        mask = self.pack(w)
-        return lambda a: (a & mask).bit_count() & 1
-
 
 class _RingP(_Ring):
     """GF(p)[x] / (f) for odd p, by Kronecker substitution: slot is the bit
@@ -231,12 +228,6 @@ class _RingP(_Ring):
         """True when gcd(f, a) has degree zero."""
         return _pgcd_is_const(list(self.modulus), list(self.unpack(a)), self.p)
 
-    def linear_form(self, w: tuple):
-        """The map a -> sum_i w_i a_i mod p: slot d - 1 of a times w reversed."""
-        rev, shift = self.pack(w[::-1]), (self.d - 1) * self.slot
-        mask, p = self.mask, self.p
-        return lambda a: ((a * rev) >> shift & mask) % p
-
 
 def _make_ring(modulus: tuple, p: int) -> _Ring:
     return _Ring2(modulus) if p == 2 else _RingP(modulus, p)
@@ -308,31 +299,15 @@ def _find_modulus(p: int, d: int) -> tuple:
 # shared per-(p, degree) data
 
 
-def _solve_mod(rows: list, rhs: list, p: int) -> list:
-    """The x with rows @ x = rhs over GF(p); rows must be invertible."""
-    n = len(rhs)
-    aug = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise AssertionError("trace sequence must have linear complexity d")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[col])]
-    return [row[n] for row in aug]
-
-
 class _Core:
     """Everything about GF(p^d) that does not depend on the subfield split.
 
     The one whole-field array is the trace m-sequence t[k] = Tr(alpha^k)
-    down to GF(p).  The d-window (t[k], ..., t[k+d-1]) holds the coordinates
-    of alpha^k in the basis trace-dual to 1, alpha, ..., alpha^(d-1), so the
-    log and successor-log tables are read off windows of t.
+    down to GF(p), whose head and recurrence come from the conjugates of
+    alpha (see `_sequence`).  The d-window (t[k], ..., t[k+d-1]) holds the
+    coordinates of alpha^k in the basis trace-dual to 1, alpha, ...,
+    alpha^(d-1), so the log and successor-log tables are read off windows
+    of t.
     """
 
     def __init__(self, p: int, d: int, modulus: tuple | None = None):
@@ -346,8 +321,6 @@ class _Core:
         if modulus and not _is_irreducible(self.ring):
             raise ValueError("modulus is reducible")
         self.alpha = self._find_primitive()
-        self.trace_form = self._trace_form()
-        self._trace = self.ring.linear_form(self.trace_form)
         self._seq: np.ndarray | None = None
         self._trace_by_log: np.ndarray | None = None
         self._log: np.ndarray | None = None
@@ -370,52 +343,47 @@ class _Core:
                 return cand
         raise AssertionError("no primitive element found")  # impossible
 
-    def _trace_form(self) -> tuple:
-        """w with Tr(x) = sum_j w_j x_j mod p down to GF(p).
-
-        Tr(x^j) is the sum of y^j over the d conjugates y = x^(p^i) of x,
-        and must be a constant.
-        """
-        ring, d = self.ring, self.d
-        conj = [1 << ring.slot]  # x, then x^p, ..., x^(p^(d-1))
-        for _ in range(d - 1):
-            conj.append(ring.pow(conj[-1], self.p))
-        form = []
-        powers = [1] * d
-        for j in range(d):
-            if j:
-                powers = [ring.mul(a, y) for a, y in zip(powers, conj)]
-            total = ring.sum(powers)
-            if total >> ring.slot:
-                raise AssertionError("trace must land in the prime field")
-            form.append(total)
-        return tuple(form)
-
     def _sequence(self) -> np.ndarray:
         """t[k] = Tr(alpha^k) for 0 <= k < r - 1 + d, by jump doubling.
 
-        The first 2d terms fix the order-d recurrence alpha^d = sum c_i alpha^i.
-        With alpha^n = sum a_i alpha^i (reduced by that recurrence), every
-        known length n >= 2d extends by t[n + j] = sum a_i t[i + j] for
-        j <= n - d, so each step takes the known length from n to 2n - (d - 1),
-        and X^n follows by one squaring and one product with X^(1 - d).
+        Both inputs come from the d conjugates alpha^(p^j) of alpha: their
+        power sums are the first d terms, and their product
+        prod_j (X - alpha^(p^j)) is the minimal polynomial of alpha, the
+        order-d recurrence that extends those to 2d terms.  With
+        alpha^n = sum a_i alpha^i (reduced by that recurrence), every known
+        length n >= 2d extends by t[n + j] = sum a_i t[i + j] for j <= n - d,
+        so each step takes the known length from n to 2n - (d - 1), and X^n
+        follows by one squaring and one product with X^(1 - d).
         t has the dtype np.min_scalar_type(p - 1); each step sums
         SCRATCH_BLOCK terms at a time in the narrowest unsigned scratch type
         that holds d (p - 1)^2, where products and sums cannot wrap, and
         writes them back reduced mod p.
         """
         if self._seq is None:
-            p, d = self.p, self.d
+            p, d, ring = self.p, self.d, self.ring
             total = self.r - 1 + d
-            ring, head = self.ring, []
-            x, alpha = 1, self.alpha
-            for _ in range(2 * d):
-                head.append(self._trace(x))
-                x = ring.mul(x, alpha)
-            c = _solve_mod([head[i : i + d] for i in range(d)], head[d:], p)
-            mring = _make_ring(tuple(-ci % p for ci in c) + (1,), p)
+            conj = [self.alpha]
+            for _ in range(d - 1):
+                conj.append(ring.pow(conj[-1], p))
+            # alpha in a proper subfield repeats its conjugates, and its
+            # sequence then obeys a shorter recurrence
+            if len(set(conj)) < d:
+                raise AssertionError("trace sequence must have linear complexity d")
+            minpoly = [1]  # lowest coefficient first
+            for y in conj:
+                minpoly = [ring.sub(a, ring.mul(y, b)) for a, b in zip([0, *minpoly], [*minpoly, 0])]
+            head, powers = [], [1] * d
+            for _ in range(d):
+                head.append(ring.sum(powers))
+                powers = [ring.mul(a, y) for a, y in zip(powers, conj)]
+            # a constant of the ring packs to itself
+            if any(v >= p for v in head + minpoly):
+                raise AssertionError("conjugate sums and products must lie in GF(p)")
+            for k in range(d):  # t[k + d] = -sum_i minpoly[i] t[k + i]
+                head.append(-sum(c * v for c, v in zip(minpoly, head[k:])) % p)
+            mring = _make_ring(tuple(minpoly), p)
             # the residue of X modulo the minimal polynomial of alpha
-            gen = 1 << mring.slot if d > 1 else c[0]
+            gen = 1 << mring.slot if d > 1 else self.alpha
             t = np.empty(total, dtype=np.min_scalar_type(p - 1))
             t[: 2 * d] = head
             scratch = np.min_scalar_type(d * (p - 1) ** 2)

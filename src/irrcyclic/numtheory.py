@@ -292,10 +292,13 @@ def semiprimitive_j(p: int, N: int, *, divisor_of: int | None = None) -> int | N
     divisor_of is passed to mult_order: a known multiple of the order, such as
     d when N divides p**d - 1, spares factoring N.
     """
+    if N < 1 or math.gcd(p, N) > 1:
+        # -1 is a unit mod N and p**j is not
+        return None
+    e = mult_order(p, N, divisor_of=divisor_of)
     if N <= 2:
         # -1 = 1 mod N, so j = order works; callers only use N >= 3
-        return mult_order(p, N, divisor_of=divisor_of) if N > 0 else None
-    e = mult_order(p, N, divisor_of=divisor_of)
+        return e
     if e % 2 == 0 and pow(p, e // 2, N) == N - 1:
         return e // 2
     return None

@@ -4,10 +4,11 @@ import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from irrcyclic import cli, errors, weights
+from irrcyclic import cli, errors, numtheory, weights
 
 
 def run(capsys, *argv):
@@ -398,6 +399,38 @@ def test_large_specs_end_promptly(argv, rc, method):
     assert run.returncode == rc, run.stderr
     if method is not None:
         assert json.loads(run.stdout)["method"] == method
+
+
+class _Factored(Exception):
+    """Raised by the factoring guard below; the CLI maps no exit code to it."""
+
+
+# (p, s, m, N) and the exit codes of dist, bounds and periods.  Every r - 1
+# here is past 2^64, where factorize can stall (it does on 2^101 - 1), so the
+# guard refuses to factor any number that large
+@pytest.mark.parametrize("spec,codes", [
+    ((2, 1, 101, 1), (0, 0, 0)),
+    ((2, 1, 101, 7432339208719), (3, 0, 3)),
+    ((2, 1, 101, 2**101 - 1), (3, 0, 3)),
+    ((37, 1, 23, 1), (0, 0, 0)),
+    ((37, 1, 23, 2), (0, 0, 3)),
+    ((37, 1, 23, 4), (0, 0, 3)),
+    ((53, 1, 19, 2), (0, 0, 3)),
+])
+def test_closed_paths_never_factor_large_numbers(monkeypatch, capsys, spec, codes):
+    real = numtheory._factorize
+
+    def guard(n):
+        if n >= 1 << 64:
+            raise _Factored(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "_factorize", guard)
+    args = [f"--{k}={v}" for k, v in zip("psmN", spec)]
+    for command, rc in zip(("dist", "bounds", "periods"), codes):
+        start = time.perf_counter()
+        assert run(capsys, command, *args, "--format", "json")[0] == rc, command
+        assert time.perf_counter() - start < 1, command
 
 
 def test_closed_paths_never_import_numpy():

@@ -41,6 +41,19 @@ def test_quadratic_value_ring():
     assert cf.QuadraticValue.sqrt_of(-7).norm() == 7
 
 
+def test_quadratic_value_identities():
+    a = cf.QuadraticValue(3, 1, -7)
+    b = cf.QuadraticValue(-1, 1, -7)
+    zero = cf.QuadraticValue.from_integer(0, -7)
+    assert a - b + b == a and a != b
+    assert -a == zero - a and -a + a == 0
+    assert 2 * a == a + a
+    # equal values hash equal, rational ones whatever their discriminant
+    assert hash(a - b + b) == hash(a)
+    assert cf.QuadraticValue(4, 0, -7) == cf.QuadraticValue(4, 0, 5)
+    assert hash(cf.QuadraticValue(4, 0, -7)) == hash(cf.QuadraticValue(4, 0, 5))
+
+
 def test_quadratic_value_norm_is_an_int():
     # the halves share parity, so the norm is integral for every D
     for half_x, half_y, D in [(3, 1, -7), (1, 1, 5), (2, 4, 8), (-2, 2, -7), (0, 0, -7)]:

@@ -50,6 +50,20 @@ def test_rous_ring_ops():
     assert abs(a.rotate(3).evaluate() - (a.evaluate() * np.exp(6j * np.pi / 7))) < 1e-9
 
 
+def test_rous_identities():
+    a = cyclotomy.RootOfUnitySum(7, (1, 2, 0, 0, 3, 0, 0))
+    b = cyclotomy.RootOfUnitySum(7, (0, 0, 5, 0, 0, 1, 1))
+    zero = cyclotomy.RootOfUnitySum.from_integer(7, 0)
+    assert a - b + b == a
+    assert -a == zero - a and -a + a == 0
+    assert 2 * a == a * 2 == a + a
+    assert cyclotomy.RootOfUnitySum.from_integer(7, 3) == 3
+    # equal values hash equal, whichever counts they were built from
+    assert hash(a - b + b) == hash(a)
+    assert hash(cyclotomy.RootOfUnitySum(7, (4, 1, 1, 1, 1, 1, 1))) == hash(
+        cyclotomy.RootOfUnitySum.from_integer(7, 3))
+
+
 def test_dlog_of_minus_one():
     assert cyclotomy.dlog_of_minus_one(2, 8) == 0
     assert cyclotomy.dlog_of_minus_one(3, 9) == 4

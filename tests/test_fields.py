@@ -437,10 +437,21 @@ def _reference_trace_form(core):
     return tuple(form)
 
 
+def _check_head(core):
+    """The first 2d traces Tr(alpha^k) against sum_j w_j x_j, with w the
+    reference trace form and x the coefficients of alpha^k."""
+    p, d = core.p, core.d
+    form, alpha = _reference_trace_form(core), core.ring.unpack(core.alpha)
+    want = [sum(w * x for w, x in zip(form, _ref_pow(alpha, k, core.modulus, p))) % p
+            for k in range(2 * d)]
+    # GF(2) has a one-term sequence
+    assert core.trace_by_log()[: 2 * d].tolist() == want[: core.r - 1]
+
+
 def _check_searches(core):
     assert core.modulus == _reference_modulus(core.p, core.d)
     assert core.alpha == core.ring.pack(_reference_primitive(core))
-    assert core.trace_form == _reference_trace_form(core)
+    _check_head(core)
 
 
 def test_tower_searches_match_the_reference():
@@ -460,7 +471,7 @@ def test_primitive_element_matches_the_plain_scan():
     for core in cores:
         want = core.ring.pack(_reference_primitive(core))
         assert core.alpha == want, (core.p, core.d, core.modulus)
-        assert core.trace_form == _reference_trace_form(core)
+        _check_head(core)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 1031, 65537])
@@ -496,6 +507,16 @@ def test_non_primitive_alpha_is_rejected():
     core = _Core(2, 4)
     core.alpha = core.ring.pack((0, 1, 1, 0))
     with pytest.raises(AssertionError, match="linear complexity"):
+        core.trace_by_log()
+
+
+def test_conjugates_outside_a_field_are_rejected():
+    # GF(2)[x] / (x+1)^3 is no field: x has the distinct "conjugates" x, x^2
+    # and x^4 = 1, but their sum x^2 + x + 1 is no constant
+    core = _Core(2, 3)
+    core.ring = fields._make_ring((1, 1, 1, 1), 2)
+    core.alpha = core.ring.pack((0, 1, 0))
+    with pytest.raises(AssertionError, match="must lie in GF"):
         core.trace_by_log()
 
 

@@ -59,8 +59,7 @@ def test_value_records_compare_and_hash_by_fields():
 def test_period_records_compare_by_identity():
     tower = build_tower(2, 1, 4)
     pset = cyclotomy.gaussian_periods_exact(tower, 3)
-    twin = cyclotomy.GaussianPeriodSet(pset.r, pset.N, pset.p, pset.counts,
-                                       pset.product_rule_checked)
+    twin = cyclotomy.GaussianPeriodSet(pset.r, pset.N, pset.p, pset.counts)
     assert pset == pset and pset != twin
     assert len({pset, twin}) == 2
     table = cyclotomy.cyclotomic_numbers(tower, 3)
@@ -90,10 +89,11 @@ def test_reprs():
         " G=((0 + 0*sqrt(-7))/2, (-2 + 2*sqrt(-7))/2, (0 + 0*sqrt(-7))/2))"
     )
     tower = build_tower(2, 1, 4)
+    assert repr(tower) == "FieldTower(GF(2^1)^4, r=16)"
     assert repr(cyclotomy.gaussian_periods_exact(tower, 3)) == (
         "GaussianPeriodSet(r=16, N=3, p=2, counts=array([[-3,  0],\n"
         "       [ 1,  0],\n"
-        "       [ 1,  0]], dtype=int8), product_rule_checked=True)"
+        "       [ 1,  0]], dtype=int8))"
     )
     assert repr(cyclotomy.cyclotomic_numbers(tower, 3)) == (
         "CyclotomicTable(r=16, N=3, counts=array([[0, 2, 2],\n"
