@@ -341,13 +341,6 @@ class SemiprimitivePeriods(_Record):
 
     __slots__ = ("N", "special_index", "special_value", "common_value")
 
-    def __init__(self, N: int, special_index: int, special_value: int, common_value: int):
-        set_field = object.__setattr__
-        set_field(self, "N", N)
-        set_field(self, "special_index", special_index)
-        set_field(self, "special_value", special_value)
-        set_field(self, "common_value", common_value)
-
     def __iter__(self):
         return iter((self.special_value, self.special_index, self.common_value))
 
@@ -386,20 +379,6 @@ class IndexTwoParams(_Record):
     """
 
     __slots__ = ("p", "l", "lam", "s", "N1", "f", "h", "a", "b", "G")
-
-    def __init__(self, p: int, l: int, lam: int, s: int, N1: int, f: int, h: int,
-                 a: int, b: int, G: tuple[QuadraticValue, ...]):
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "l", l)
-        set_field(self, "lam", lam)
-        set_field(self, "s", s)
-        set_field(self, "N1", N1)
-        set_field(self, "f", f)
-        set_field(self, "h", h)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "G", G)
 
     def gauss_sum(self, t: int) -> QuadraticValue:
         return self.G[t]

@@ -180,13 +180,6 @@ class GaussianPeriodSet(_Record):
     __hash__ = object.__hash__
     product_rule_checked = True
 
-    def __init__(self, r: int, N: int, p: int, counts: np.ndarray):
-        set_field = object.__setattr__
-        set_field(self, "r", r)
-        set_field(self, "N", N)
-        set_field(self, "p", p)
-        set_field(self, "counts", counts)
-
     def __len__(self) -> int:
         return self.N
 
@@ -392,12 +385,6 @@ class CyclotomicTable(_Record):
     __slots__ = ("r", "N", "counts")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, r: int, N: int, counts: np.ndarray):
-        set_field = object.__setattr__
-        set_field(self, "r", r)
-        set_field(self, "N", N)
-        set_field(self, "counts", counts)
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair

@@ -17,11 +17,12 @@ class _Record:
     """Base of the package's records: plain classes, so that importing them
     compiles no generated code.
 
-    A subclass lists its fields in constructor order as `__slots__` and sets
-    them in its `__init__` through `object.__setattr__`.  A slot whose name
-    starts with an underscore is not a field: it holds a value the
-    constructor derives from the fields (and "__dict__" only makes room for
-    cached properties).  A record compares and hashes as the tuple of its
+    A subclass lists its fields in constructor order as `__slots__`, and the
+    constructor here binds its arguments to them by position or keyword.  A
+    slot whose name starts with an underscore is not a field (and "__dict__"
+    only makes room for cached properties).  A record that checks or derives
+    values writes its own `__init__` and sets every slot itself through
+    `object.__setattr__`.  A record compares and hashes as the tuple of its
     fields, prints as Name(field=value, ...), pickles through its
     constructor, and refuses assignment and deletion.
     """
@@ -32,6 +33,17 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)};"
+                                f" got {len(args)} positional and keywords {sorted(kwargs)}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -159,7 +159,7 @@ class _RingP(_Ring):
     the rows x^(d+j) mod f, adding at most (d-1)(p-1)^2 to a slot, so no slot
     carries before the last step takes each one mod p."""
 
-    __slots__ = ("modulus", "rows", "low", "shifts")
+    __slots__ = ("modulus", "rows", "low", "shifts", "p_row")
 
     def __init__(self, modulus: tuple, p: int):
         d = len(modulus) - 1
@@ -168,6 +168,7 @@ class _RingP(_Ring):
         self.mask = (1 << self.slot) - 1
         self.low = (1 << (d * self.slot)) - 1
         self.shifts = tuple(range((d - 1) * self.slot, -1, -self.slot))
+        self.p_row = self.pack((p,) * d)
         # row j is x^(d+j) mod f: x^d is minus the low part of f, and each
         # next row is x times the last, its top coefficient folded back
         # through x^d
@@ -218,7 +219,7 @@ class _RingP(_Ring):
 
     def sub(self, a: int, b: int) -> int:
         # adding p to every slot first keeps each slot nonnegative
-        return self._norm(a + self.pack((self.p,) * self.d) - b)
+        return self._norm(a + self.p_row - b)
 
     def sum(self, terms) -> int:
         # at most 2d(p-1) terms keep every slot below 2^slot
@@ -246,14 +247,11 @@ def _pgcd_is_const(a: list, b: list, p: int) -> bool:
     while b:
         inv = pow(b[-1], p - 2, p)
         while len(a) >= len(b):
+            # a is stripped and inv is a unit mod p, so top is nonzero
             top = a[-1] * inv % p
             off = len(a) - len(b)
-            if top:
-                for i, c in enumerate(b):
-                    a[off + i] = (a[off + i] - top * c) % p
-            else:
-                a.pop()
-                continue
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - top * c) % p
             _pstrip(a)
         a, b = b, a
     return len(a) == 1

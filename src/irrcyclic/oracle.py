@@ -24,19 +24,24 @@ class Codeword(_Record):
 
     __slots__ = ("spec", "beta", "entries")
 
-    def __init__(self, spec: CodeSpec, beta: FieldElement, entries: tuple[FieldElement, ...]):
-        set_field = object.__setattr__
-        set_field(self, "spec", spec)
-        set_field(self, "beta", beta)
-        set_field(self, "entries", entries)
-
     @property
     def weight(self) -> int:
         return sum(1 for e in self.entries if not e.is_zero)
 
 
+def _tower_of(spec: CodeSpec, tower: FieldTower | None) -> FieldTower:
+    """spec's tower, built when none is given; a tower of another split is refused."""
+    if tower is None:
+        return build_tower(spec.p, spec.s, spec.m)
+    if (tower.p, tower.s, tower.m) != (spec.p, spec.s, spec.m):
+        raise ValueError(f"tower GF({tower.p}^{tower.s})^{tower.m} does not match"
+                         f" the code's split GF({spec.p}^{spec.s})^{spec.m}")
+    return tower
+
+
 def codeword(spec: CodeSpec, tower: FieldTower, beta: FieldElement) -> Codeword:
     """Build the codeword of beta entry by entry; meant for small fields."""
+    tower = _tower_of(spec, tower)
     theta = tower.alpha**spec.N
     entries = []
     x = beta
@@ -73,8 +78,7 @@ def brute_weight_distribution(
 ) -> WeightDistribution:
     """Exact distribution by enumerating the field, within the size budget."""
     require_enum_size("oracle", spec.r, budget)
-    if tower is None:
-        tower = build_tower(spec.p, spec.s, spec.m)
+    tower = _tower_of(spec, tower)
     if literal:
         return _literal_distribution(spec, tower)
     # weights repeat with period N1, and each class mod N1 holds (r-1)/N1
@@ -106,6 +110,7 @@ def count_Z(
 ) -> int:
     """Number of x in GF(r) with Tr(a * x^N) = 0 down to GF(q), by enumeration."""
     require_enum_size("solution count", spec.r, budget)
+    tower = _tower_of(spec, tower)
     if a == tower.zero:  # discrete_log refuses a zero of another field
         return spec.r
     # a * x^N over nonzero x hits each log = da (mod N) exactly N times

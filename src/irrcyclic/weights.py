@@ -146,12 +146,6 @@ class PeriodCheck(_Record):
 
     __slots__ = ("integral", "congruent", "bounded")
 
-    def __init__(self, integral: bool, congruent: bool, bounded: bool):
-        set_field = object.__setattr__
-        set_field(self, "integral", integral)
-        set_field(self, "congruent", congruent)
-        set_field(self, "bounded", bounded)
-
     @property
     def all_pass(self) -> bool:
         return self.integral and self.congruent and self.bounded

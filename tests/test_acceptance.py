@@ -22,7 +22,7 @@ from irrcyclic import (
     oracle,
     weights,
 )
-from irrcyclic.cli import table1_rows
+from irrcyclic.cli import _TABLE1, table1_rows
 
 # weight enumerators that must come out of both the dispatcher and the
 # brute-force oracle, byte for byte
@@ -286,6 +286,9 @@ def test_criterion_7_bound_table():
     t0 = time.perf_counter()
     rows = table1_rows()
     assert len(rows) == 8
+    for row, (_, printed) in zip(rows, _TABLE1):
+        n, k, d, q, _, residue = printed
+        assert (row["n"], row["k"], row["d"], row["q"], row["residue"]) == (n, k, d, q, residue)
     agree = [row for row in rows if row["agree"]]
     assert len(agree) == 7
     off = next(row for row in rows if not row["agree"])

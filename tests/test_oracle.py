@@ -81,6 +81,21 @@ def test_count_Z_refuses_a_foreign_element():
             oracle.count_Z(spec, t, a)
 
 
+def test_oracle_refuses_a_tower_of_another_split():
+    # GF(4)^2 is GF(16) too, but its trace-zero mask is that of another code:
+    # the (2, 1, 4, 3) distribution is ((2, 10), (4, 5)), not ((4, 15),)
+    spec = weights.code_params(2, 1, 4, 3)
+    other = build_tower(2, 2, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        oracle.brute_weight_distribution(spec, other)
+    with pytest.raises(ValueError, match="does not match"):
+        oracle.count_Z(spec, other, other.alpha)
+    with pytest.raises(ValueError, match="does not match"):
+        oracle.codeword(spec, other, other.one)
+    own = build_tower(2, 1, 4)
+    assert oracle.brute_weight_distribution(spec, own).entries == ((2, 10), (4, 5))
+
+
 def test_count_Z_matches_direct():
     spec = weights.code_params(2, 2, 3, 9)
     t = build_tower(2, 2, 3)

@@ -1,8 +1,10 @@
 """Value semantics of the package's records: constructors, immutability,
 equality and hashing, reprs, unpacking and pickling."""
 
+import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from irrcyclic import closed_forms, cyclotomy, oracle, weights
@@ -125,9 +127,27 @@ def test_constructors_take_positions_and_keywords():
         bounded=True, congruent=False, integral=True)
     with pytest.raises(TypeError):
         weights.PeriodCheck(True, True)
+    Periods = closed_forms.SemiprimitivePeriods
+    assert Periods(2, 0, -5, 4) == Periods(2, 0, common_value=4, special_value=-5)
+    for args, kwargs in [
+        ((2, 0, -5), {}),  # missing
+        ((2, 0, -5, 4, 1), {}),  # extra positional
+        ((2, 0, -5, 4), {"N": 2}),  # both by position and by keyword
+        ((2, 0, -5, 4), {"unknown": 1}),
+    ]:
+        with pytest.raises(TypeError):
+            Periods(*args, **kwargs)
 
 
 def test_records_pickle():
-    spec = weights.code_params(3, 1, 4, 2)
-    for rec in (spec, weights.weight_distribution(spec)):
-        assert pickle.loads(pickle.dumps(rec)) == rec
+    for rec, _ in _frozen_records():
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
+            assert type(twin) is type(rec) and repr(twin) == repr(rec)
+            if isinstance(rec, (cyclotomy.GaussianPeriodSet, cyclotomy.CyclotomicTable)):
+                # compared by identity, so field by field
+                assert all(np.array_equal(getattr(twin, name), getattr(rec, name))
+                           for name in rec._fields)
+            elif not isinstance(rec, oracle.Codeword) or twin.beta.tower is rec.beta.tower:
+                # an unpickled field element lives in a new copy of its
+                # field, and equals no element of the old one
+                assert twin == rec
