@@ -132,8 +132,8 @@ class QuadraticValue:
         return (self.half_x, self.half_y, self.D) == (other.half_x, other.half_y, other.D)
 
     def __hash__(self) -> int:
-        if self.half_y == 0:
-            return hash(("QV", self.half_x))
+        if self.half_y == 0:  # a rational value has even halves, and equals that int
+            return hash(self.half_x // 2)
         return hash(("QV", self.half_x, self.half_y, self.D))
 
     def __repr__(self) -> str:

@@ -143,7 +143,8 @@ class RootOfUnitySum:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.counts))
+        # an integer value equals that int, so it hashes as one
+        return hash(self.counts[0] if self.is_integer else (self.p, self.counts))
 
     def __repr__(self) -> str:
         return root_sum_text(self.p, self.counts)
@@ -163,6 +164,14 @@ def dlog_of_minus_one(p: int, r: int) -> int:
     return 0 if p == 2 else (r - 1) // 2
 
 
+def _frozen(cls, *fields):
+    """A count-matrix record rebuilt from pickled or deep-copied fields, its
+    counts made read-only again (the copies numpy makes are writeable)."""
+    out = cls(*fields)
+    out.counts.flags.writeable = False
+    return out
+
+
 class GaussianPeriodSet(_Record):
     """Exact Gaussian periods of order N over GF(r), indexed by class.
 
@@ -179,6 +188,9 @@ class GaussianPeriodSet(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     product_rule_checked = True
+
+    def __reduce__(self):
+        return _frozen, (type(self), *self._values(self))
 
     def __len__(self) -> int:
         return self.N
@@ -385,6 +397,7 @@ class CyclotomicTable(_Record):
     __slots__ = ("r", "N", "counts")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __reduce__ = GaussianPeriodSet.__reduce__
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         i, j = pair
@@ -457,22 +470,20 @@ def quadratic_char_sum(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> RootOfUnitySum:
     """Exact character sum of a quadratic polynomial over the whole field:
-    sum over c in GF(r) of zeta_p^Tr(a2 c^2 + a1 c + a0), with a2 nonzero."""
+    sum over c in GF(r) of zeta_p^Tr(a2 c^2 + a1 c + a0), with a2 nonzero.
+    Completing the square makes it zeta_p^Tr(a0 - a1^2/(4 a2)) (eta_i - eta_(1-i)),
+    on the order-2 periods eta, with i = 0 exactly when a2 is a square."""
     r, p = tower.r, tower.p
     if p == 2:
         raise EvenPrime("quadratic character sums need odd characteristic")
     if a2.is_zero:
         raise ValueError("leading coefficient must be nonzero")
     require_enum_size("character sum", r, budget)
-    tr = tower.core.trace_by_log()
-    t = np.arange(r - 1, dtype=np.int64)
-    la2 = tower.discrete_log(a2)
-    # int64 first: the sum of two narrow trace values may wrap
-    vals = tr[(2 * t + la2) % (r - 1)].astype(np.int64)
-    if a1 != tower.zero:  # discrete_log refuses a zero of another field
-        la1 = tower.discrete_log(a1)
-        vals = vals + tr[(t + la1) % (r - 1)]
-    t0 = int(tower.trace(a0, "r->p").coeffs[0])
-    hist = np.bincount((vals + t0) % p, minlength=p)
-    hist[t0] += 1  # the c = 0 term
-    return RootOfUnitySum(p, hist)
+    # an operand of another field raises here, as the scalar 4 is this field's
+    b = a0 - a1 * a1 * (tower.scalar(4) * a2) ** -1
+    t0 = int(tower.trace(b, "r->p").coeffs[0])
+    i = 0 if a2 ** ((r - 1) // 2) == tower.one else 1
+    counts = gaussian_periods_exact(tower, 2, budget=budget).counts
+    # both rows lie in [-n, n], so their difference may not fit their dtype
+    diff = np.subtract(counts[i], counts[1 - i], dtype=np.int64)
+    return RootOfUnitySum(p, np.roll(diff, t0).tolist())

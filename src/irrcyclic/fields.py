@@ -312,6 +312,7 @@ class _Core:
         self.p = p
         self.d = d
         self.r = p**d
+        self.overridden = modulus is not None
         self.modulus = tuple(c % p for c in modulus) if modulus else _find_modulus(p, d)
         if len(self.modulus) != d + 1 or self.modulus[d] != 1:
             raise ValueError("modulus must be monic of the tower degree")
@@ -570,6 +571,15 @@ class FieldTower:
         self.core = core
         self.subfield_embedding = (self.r - 1) // (self.q - 1)
         self._traceq_zero: np.ndarray | None = None
+
+    def __reduce__(self):
+        """A copy is rebuilt through build_tower: by name, so that it is the
+        cached tower and its elements equal the original's, or, for a
+        modulus override, as a new field on the same modulus."""
+        build = build_tower
+        if self.core.overridden:
+            build = functools.partial(build_tower, modulus=self.core.modulus)
+        return build, (self.p, self.s, self.m)
 
     @property
     def alpha(self) -> FieldElement:

@@ -4,13 +4,10 @@ The fast path never touches period formulas: it marks which powers of alpha
 have vanishing trace to GF(q) and sums those marks along each codeword's
 index set {c + N*j}.  Two codewords built from beta with equal discrete log
 mod N share that index set exactly, so one pass of length r - 1 yields every
-codeword weight.  The per-codeword literal mode recomputes traces element by
-element and exists to cross-check the vectorized path.
+codeword weight.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -73,14 +70,11 @@ def brute_weight_distribution(
     spec: CodeSpec,
     tower: FieldTower | None = None,
     *,
-    literal: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> WeightDistribution:
     """Exact distribution by enumerating the field, within the size budget."""
     require_enum_size("oracle", spec.r, budget)
     tower = _tower_of(spec, tower)
-    if literal:
-        return _literal_distribution(spec, tower)
     # weights repeat with period N1, and each class mod N1 holds (r-1)/N1
     # values of beta; the sqrt(r) bound keeps the weight range short
     weights = _class_weights(spec, tower)[: spec.N1]
@@ -88,16 +82,6 @@ def brute_weight_distribution(
     per_class = (spec.r - 1) // spec.N1
     merged = np.bincount(weights - lo).tolist()
     pairs = [(lo + w, c * per_class) for w, c in enumerate(merged) if c]
-    return distribution_from_beta_weights(spec, pairs, "brute")
-
-
-def _literal_distribution(spec: CodeSpec, tower: FieldTower) -> WeightDistribution:
-    merged: Counter = Counter()
-    beta = tower.one
-    for _ in range(spec.r - 1):
-        merged[codeword(spec, tower, beta).weight] += 1
-        beta = beta * tower.alpha
-    pairs = [(w, count) for w, count in sorted(merged.items())]
     return distribution_from_beta_weights(spec, pairs, "brute")
 
 

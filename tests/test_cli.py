@@ -1,10 +1,15 @@
 """Command line interface: output text, JSON schema, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -498,3 +503,29 @@ def test_closed_paths_never_import_numpy():
     assert lines[10] == "thm22 0 False False False"
     assert lines[11].startswith("verify 0 True ")
 
+
+
+def test_readme_examples(capsys):
+    # each `$ irrcyclic ...` line of the README prints the lines after it, up
+    # to the next prompt or the end of its block; table1 shows no output, so
+    # only its exit code is compared.  The Library snippet runs as printed.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.M | re.S)
+    examples = [chunk.partition("\n") for _, body in blocks
+                for chunk in re.split(r"^\$ ", body, flags=re.M)[1:]]
+    assert [cmd.split()[1] for cmd, _, _ in examples] == [
+        "dist", "verify", "bounds", "periods", "table1"]
+    for cmd, _, shown in examples:
+        name, *argv = shlex.split(cmd)
+        assert name == "irrcyclic"
+        rc = cli.main(argv)
+        out = capsys.readouterr().out
+        assert rc == 0, cmd
+        if shown.strip():
+            assert out == shown.strip("\n") + "\n", cmd
+    (snippet,) = [body for lang, body in blocks if lang == "python"]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(snippet, namespace)
+    assert namespace["dist"].method == "thm22"
+    assert printed.getvalue() == namespace["dist"].enumerator_text() + "\n"

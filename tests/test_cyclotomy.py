@@ -642,14 +642,35 @@ def test_quadratic_char_sum_shifts():
 
 
 def test_quadratic_char_sum_matches_elementwise():
-    # over GF(251) two traces sum past 255, so a narrow trace array must be
-    # upcast before the linear term is added
-    t = build_tower(251, 1, 1)
-    a2, a1, a0 = t.scalar(3), t.scalar(200), t.scalar(249)
-    hist = [0] * t.p
-    for c in t.elements():
-        hist[t.trace(a2 * c * c + a1 * c + a0, "r->p").coeffs[0]] += 1
-    assert cyclotomy.quadratic_char_sum(t, a2, a1, a0) == cyclotomy.RootOfUnitySum(t.p, hist)
+    # a2 a square (1) and not (alpha); a1 and a0 zero and not, and outside
+    # GF(p) past a prime field; 4 = 1 over GF(3); over GF(251) two trace
+    # values sum past a byte
+    for p, d in [(3, 1), (3, 3), (5, 2), (7, 2), (251, 1)]:
+        t = build_tower(p, 1, d)
+        cases = [(a2, a1, a0) for a2 in (t.one, t.alpha) for a1 in (t.zero, t.alpha**2)
+                 for a0 in (t.zero, t.alpha)]
+        if p == 251:
+            cases.append((t.scalar(3), t.scalar(200), t.scalar(249)))
+        for a2, a1, a0 in cases:
+            hist = [0] * p
+            for c in t.elements():
+                hist[t.trace(a2 * c * c + a1 * c + a0, "r->p").coeffs[0]] += 1
+            want = cyclotomy.RootOfUnitySum(p, hist)
+            assert cyclotomy.quadratic_char_sum(t, a2, a1, a0) == want, (p, d, a2, a1, a0)
+
+
+def test_quadratic_char_sum_peak_memory():
+    # with t built, the sum reads the order-2 period set and enumerates no
+    # whole-field array: under 1 byte per element
+    t = build_tower(3, 1, 13)
+    t.core.trace_by_log()
+    tracemalloc.start()
+    try:
+        cyclotomy.quadratic_char_sum(t, t.alpha, t.alpha**2, t.one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.r, peak / t.r
 
 
 def test_period_checks_hold_under_optimize():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -47,13 +48,24 @@ def test_brute_matches_closed_battery():
         assert closed.entries == brute.entries, spec
 
 
+def _literal_distribution(spec):
+    """Reference: the weight of every codeword, built entry by entry."""
+    tower = build_tower(spec.p, spec.s, spec.m)
+    merged = Counter()
+    beta = tower.one
+    for _ in range(spec.r - 1):
+        merged[oracle.codeword(spec, tower, beta).weight] += 1
+        beta = beta * tower.alpha
+    return weights.distribution_from_beta_weights(spec, sorted(merged.items()), "brute")
+
+
 def test_literal_matches_class_mode():
     # N = 1, N = r - 1 (n = 1) and the degenerate (2, 1, 6, 9) among them
     for args in [(3, 1, 4, 2), (2, 2, 3, 9), (7, 1, 2, 12), (2, 1, 4, 15),
                  (2, 1, 3, 7), (3, 2, 2, 16), (3, 1, 4, 1), (3, 1, 4, 80), (2, 1, 6, 9)]:
         spec = weights.code_params(*args)
         fast = oracle.brute_weight_distribution(spec)
-        slow = oracle.brute_weight_distribution(spec, literal=True)
+        slow = _literal_distribution(spec)
         assert fast.entries == slow.entries, spec
 
 

@@ -1,9 +1,11 @@
 """The package namespace: lazy exports that resolve to their source objects."""
 
 import importlib
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import irrcyclic
 
@@ -51,3 +53,11 @@ def test_lazy_submodules_get_their_own_import_time_lines():
     timed = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
     for name in ("weights", "closed_forms", "numtheory"):
         assert f"irrcyclic.{name}" in timed
+
+
+def test_readme_lists_every_export():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Library API", 1)[1]
+    items = re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", section, re.M | re.S)
+    listed = {module: tuple(re.findall(r"`(\w+)`", names)) for module, names in items}
+    assert listed == irrcyclic._EXPORTS

@@ -141,13 +141,38 @@ def test_constructors_take_positions_and_keywords():
 
 def test_records_pickle():
     for rec, _ in _frozen_records():
-        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
             assert type(twin) is type(rec) and repr(twin) == repr(rec)
             if isinstance(rec, (cyclotomy.GaussianPeriodSet, cyclotomy.CyclotomicTable)):
-                # compared by identity, so field by field
+                # compared by identity, so field by field; a copy's counts
+                # are as read-only as the original's
                 assert all(np.array_equal(getattr(twin, name), getattr(rec, name))
                            for name in rec._fields)
-            elif not isinstance(rec, oracle.Codeword) or twin.beta.tower is rec.beta.tower:
-                # an unpickled field element lives in a new copy of its
-                # field, and equals no element of the old one
+                assert not twin.counts.flags.writeable
+            else:
                 assert twin == rec
+
+
+def test_field_elements_pickle_by_name():
+    # the tower is rebuilt through build_tower, not copied with its arrays
+    tower = build_tower(2, 1, 16)
+    tower.core.trace_by_log()
+    x = tower.alpha**5
+    data = pickle.dumps(x)
+    assert len(data) < 200
+    assert pickle.loads(data) == x and copy.deepcopy(x) == x
+    # a modulus override comes back on its own modulus, not as the default field
+    other = build_tower(2, 1, 4, modulus=(1, 0, 0, 1, 1))
+    assert other.core.modulus != build_tower(2, 1, 4).core.modulus
+    twin = pickle.loads(pickle.dumps(other.alpha))
+    assert twin.tower.core.modulus == other.core.modulus
+    assert twin.encoding == other.alpha.encoding
+
+
+def test_equal_values_hash_equal():
+    for value, n in [(cyclotomy.RootOfUnitySum.from_integer(5, 7), 7),
+                     (closed_forms.QuadraticValue.from_integer(3, 5), 3),
+                     (closed_forms.QuadraticValue.from_integer(-2, -7), -2)]:
+        assert value == n and hash(value) == hash(n)
+        assert n in {value} and value in {n}
+        assert {value: 1}[n] == 1 and {n: 1}[value] == 1
