@@ -2,10 +2,13 @@
 
 Subcommands: dist, verify, bounds, periods, table1.  Every run emits either
 plain text or a single JSON record: one dict whose keys are `_SCHEMA`, in that
-order, for every subcommand; values a command did not compute are null.  Each
-command stores a value's JSON form as it computes it.  Weight and count values
-inside the record are decimal strings so that results beyond 64 bits survive
-any JSON reader.
+order, for every subcommand; values a command did not compute are null.  One
+runner, `main`, reads the clock, builds the code's `CodeSpec` for the commands
+that take the code flags, opens the record with its parameters and prints it
+once the command returns.  Each `cmd_*` takes (args, spec, rec), stores a
+value's JSON form in rec as it computes it, and returns its exit code and its
+text lines.  Weight and count values inside the record are decimal strings so
+that results beyond 64 bits survive any JSON reader.
 
 Only the enumerations of `verify`, `dist` and `periods` load numpy, after their
 size gates; a closed form or a size refusal never does.  Nor does a closed
@@ -30,14 +33,6 @@ _SCHEMA = (
     "p", "s", "m", "N", "q", "r", "n", "N1", "m0", "method", "weights",
     "divisor", "bounds", "thm14", "verify", "periods", "table", "elapsed_ms",
 )
-
-
-def _code_record(spec: weights.CodeSpec) -> dict:
-    """The record of a run on one code: its parameters set, every other key null."""
-    rec = dict.fromkeys(_SCHEMA)
-    rec.update(p=spec.p, s=spec.s, m=spec.m, N=spec.N, q=spec.q, r=spec.r,
-               n=spec.n, N1=spec.N1, m0=spec.m0)
-    return rec
 
 
 def _weights_json(dist: weights.WeightDistribution) -> list[dict]:
@@ -94,27 +89,20 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def cmd_dist(args) -> int:
-    t0 = time.perf_counter()
-    spec = weights.code_params(args.p, args.s, args.m, args.N)
+def cmd_dist(args, spec, rec) -> tuple[int, list[str]]:
     dist = weights.weight_distribution(spec, args.method, budget=args.budget)
-    rec = _code_record(spec)
     rec["method"] = dist.method
     rec["weights"] = _weights_json(dist)
     _record_bounds(rec, spec)
-    _finish(rec, t0, args.format, [dist.enumerator_text()])
-    return 0
+    return 0, [dist.enumerator_text()]
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    spec = weights.code_params(args.p, args.s, args.m, args.N)
+def cmd_verify(args, spec, rec) -> tuple[int, list[str]]:
     # the oracle's own gates, in its order, before it loads numpy
     errors.require_enum_size("oracle", spec.r, args.budget)
     errors.require_tower_size(spec.p, spec.s * spec.m)
     from . import oracle
 
-    rec = _code_record(spec)
     divisor, lower, upper = _record_bounds(rec, spec)
     reference = oracle.brute_weight_distribution(spec, budget=args.budget)
     pset = weights.enumerated_periods(spec, spec.N1, budget=args.budget)
@@ -126,51 +114,41 @@ def cmd_verify(args) -> int:
         closed = weights.weight_distribution(spec, args.method, budget=args.budget)
     except errors.Unsupported as exc:
         rec["weights"] = _weights_json(reference)
-        _finish(rec, t0, args.format, [
+        return 3, [
             f"no closed form applies ({exc}); oracle result:",
             reference.enumerator_text(),
             check_line,
-        ])
-        return 3
+        ]
     rec["method"] = closed.method
     rec["weights"] = _weights_json(closed)
     match = closed.entries == reference.entries
     rec["verify"] = {"match": match, "oracle_method": reference.method}
     if match:
-        _finish(rec, t0, args.format, [
+        return 0, [
             f"MATCH: {closed.method} == {reference.method}",
             closed.enumerator_text(),
             check_line,
-        ])
-        return 0
-    _finish(rec, t0, args.format, [
+        ]
+    return 4, [
         f"MISMATCH: {closed.method} != {reference.method}",
         f"closed: {closed.enumerator_text()}",
         f"oracle: {reference.enumerator_text()}",
         check_line,
-    ])
-    return 4
+    ]
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
-    spec = weights.code_params(args.p, args.s, args.m, args.N)
-    rec = _code_record(spec)
+def cmd_bounds(args, spec, rec) -> tuple[int, list[str]]:
     divisor, lower, upper = _record_bounds(rec, spec)
-    _finish(rec, t0, args.format, [
+    return 0, [
         f"[n, k] = [{spec.n}, {spec.m0}] over GF({spec.q})",
         f"divisor = {divisor}",
         f"lower = {lower}",
         f"upper = {upper}",
-    ])
-    return 0
+    ]
 
 
-def cmd_periods(args) -> int:
-    t0 = time.perf_counter()
-    spec = weights.code_params(args.p, args.s, args.m, args.N)
+def cmd_periods(args, spec, rec) -> tuple[int, list[str]]:
     p, N, d = spec.p, spec.N, spec.s * spec.m
-    rec = _code_record(spec)
     found = None if args.method == "brute" else closed_forms.closed_periods(p, d, N)
     if found is not None:
         # every class gets its own printed value: refuse an order too large
@@ -183,20 +161,19 @@ def cmd_periods(args) -> int:
         raise errors.Unsupported(f"no closed form for periods of order {N} over GF({spec.r})")
     else:
         pset = weights.enumerated_periods(spec, N, budget=args.budget)
-        from . import cyclotomy
-
-        method = "brute"
-        values = pset.integer_values
-        if values is None:
-            # irrational periods are only printed, and each costs O(p) to
-            # render: render each count row once, building no RootOfUnitySum
-            texts = [cyclotomy.root_sum_text(p, row.tolist()) for row in pset.counts]
+        method, values = "brute", pset.integer_values
     # the roots of a period polynomial carry no class labels
     by_class = method not in closed_forms.ROOTS_ONLY
 
     integral = values is not None
     if integral:
         texts = [str(v) for v in values]
+    else:
+        from . import cyclotomy
+
+        # irrational periods are only printed, and each costs O(p) to
+        # render: render each count row once, building no RootOfUnitySum
+        texts = [cyclotomy.root_sum_text(p, row.tolist()) for row in pset.counts]
     rec["method"], rec["periods"] = method, texts
     text = args.format == "text"
     lines = []
@@ -220,8 +197,7 @@ def cmd_periods(args) -> int:
     if spec.N1 == N and integral:
         check = weights.check_period_properties(spec, values)
         lines.append(_record_check(rec, check))
-    _finish(rec, t0, args.format, lines)
-    return 0
+    return 0, lines
 
 
 # Printed reference table: (p, s, m, N) and the published row
@@ -258,11 +234,8 @@ def table1_rows() -> list[dict]:
     return rows
 
 
-def cmd_table1(args) -> int:
-    t0 = time.perf_counter()
-    rows = table1_rows()
-    rec = dict.fromkeys(_SCHEMA)
-    rec["table"] = rows
+def cmd_table1(args, spec, rec) -> tuple[int, list[str]]:
+    rows = rec["table"] = table1_rows()
     lines = ["  n  k    d  q  computed  printed  residue"]
     for row in rows:
         mark = "agree" if row["agree"] else "DISAGREE"
@@ -271,8 +244,7 @@ def cmd_table1(args) -> int:
             f"  {row['computed_bound']:>8}  {row['printed_bound']:>7}"
             f"  {row['residue']:>7}  {mark}"
         )
-    _finish(rec, t0, args.format, lines)
-    return 0
+    return 0, lines
 
 
 def _add_run_flags(sp, default_method: str | None) -> None:
@@ -319,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
         if takes_params:
             _add_param_flags(sp)
         _add_run_flags(sp, default_method)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, takes_params=takes_params)
     return top
 
 
@@ -331,7 +303,17 @@ def main(argv=None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.fn(args)
+        t0 = time.perf_counter()
+        spec = None
+        rec = dict.fromkeys(_SCHEMA)
+        if args.takes_params:
+            spec = weights.code_params(args.p, args.s, args.m, args.N)
+            rec.update(p=spec.p, s=spec.s, m=spec.m, N=spec.N, q=spec.q, r=spec.r,
+                       n=spec.n, N1=spec.N1, m0=spec.m0)
+        # printed only once the command returns: one that raises prints no record
+        status, lines = args.fn(args, spec, rec)
+        _finish(rec, t0, args.format, lines)
+        return status
     except (errors.Unsupported, errors.SizeBudgetExceeded) as exc:
         print(f"unsupported: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -123,13 +123,12 @@ class QuadraticValue:
         return (self.half_x + self.half_y * root) / 2
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.half_y == 0 and self.half_x == 2 * other
-        if not isinstance(other, QuadraticValue):
-            return NotImplemented
-        if self.half_y == 0 and other.half_y == 0:
-            return self.half_x == other.half_x
-        return (self.half_x, self.half_y, self.D) == (other.half_x, other.half_y, other.D)
+        if self.half_y == 0:
+            # a rational value compares as the int it equals, whatever D
+            return self.half_x // 2 == other
+        if isinstance(other, QuadraticValue):
+            return (self.half_x, self.half_y, self.D) == (other.half_x, other.half_y, other.D)
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.half_y == 0:  # a rational value has even halves, and equals that int

@@ -59,14 +59,15 @@ class RootOfUnitySum:
     __slots__ = ("p", "counts")
 
     def __init__(self, p: int, counts):
-        counts = [int(c) for c in counts]
+        if not hasattr(counts, "__getitem__"):
+            counts = list(counts)  # an iterator, held for its length and last entry
         if len(counts) != p:
             raise ValueError(f"need exactly {p} coordinates")
-        last = counts[-1]
-        if last:
-            counts = [c - last for c in counts]
+        # the canonical tuple is the one copy of a sequence: over a wide prime
+        # field, each p-length list is tens of MB
+        last = int(counts[-1])
         self.p = p
-        self.counts = tuple(counts)
+        self.counts = tuple(int(c) - last for c in counts)
 
     @classmethod
     def from_integer(cls, p: int, n: int) -> "RootOfUnitySum":
@@ -134,13 +135,12 @@ class RootOfUnitySum:
         )
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.is_integer and self.counts[0] == other
-        return (
-            isinstance(other, RootOfUnitySum)
-            and self.p == other.p
-            and self.counts == other.counts
-        )
+        if isinstance(other, RootOfUnitySum) and self.p == other.p:
+            return self.counts == other.counts
+        if self.is_integer:
+            # a rational value compares as the int it equals, whatever p
+            return self.counts[0] == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # an integer value equals that int, so it hashes as one

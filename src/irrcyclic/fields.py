@@ -66,7 +66,7 @@ class _Ring:
     """Residues modulo a monic f of degree d over GF(p), each packed into one
     int: coefficient i of the residue sits in bits [i*slot, (i+1)*slot)."""
 
-    __slots__ = ("p", "d", "slot", "mask")
+    __slots__ = ("p", "d", "modulus", "slot", "mask")
 
     def pack(self, coeffs) -> int:
         v = 0
@@ -77,6 +77,18 @@ class _Ring:
     def unpack(self, a: int) -> tuple:
         slot, mask = self.slot, self.mask
         return tuple((a >> (i * slot)) & mask for i in range(self.d))
+
+    def from_encoding(self, enc: int) -> int:
+        v = shift = 0
+        for _ in range(self.d):
+            enc, c = divmod(enc, self.p)
+            v |= c << shift
+            shift += self.slot
+        return v
+
+    def coprime(self, a: int) -> bool:
+        """True when gcd(f, a) has degree zero."""
+        return _pgcd_is_const(list(self.modulus), list(self.unpack(a)), self.p)
 
     def pow(self, a: int, e: int) -> int:
         if not e:
@@ -99,10 +111,7 @@ class _Ring2(_Ring):
 
     def __init__(self, modulus: tuple):
         self.p, self.d, self.slot, self.mask = 2, len(modulus) - 1, 1, 1
-        self.f = self.pack(modulus)
-
-    def from_encoding(self, enc: int) -> int:
-        return enc
+        self.modulus, self.f = modulus, self.pack(modulus)
 
     def _reduce(self, c: int) -> int:
         f, d = self.f, self.d
@@ -139,18 +148,6 @@ class _Ring2(_Ring):
             total ^= t
         return total
 
-    def coprime(self, a: int) -> bool:
-        """True when gcd(f, a) has degree zero."""
-        g, h = self.f, a
-        while h:
-            n = h.bit_length()
-            m = g.bit_length()
-            while m >= n:
-                g ^= h << (m - n)
-                m = g.bit_length()
-            g, h = h, g
-        return g == 1
-
 
 class _RingP(_Ring):
     """GF(p)[x] / (f) for odd p, by Kronecker substitution: slot is the bit
@@ -159,7 +156,7 @@ class _RingP(_Ring):
     the rows x^(d+j) mod f, adding at most (d-1)(p-1)^2 to a slot, so no slot
     carries before the last step takes each one mod p."""
 
-    __slots__ = ("modulus", "rows", "low", "shifts", "p_row")
+    __slots__ = ("rows", "low", "shifts", "p_row")
 
     def __init__(self, modulus: tuple, p: int):
         d = len(modulus) - 1
@@ -179,14 +176,6 @@ class _RingP(_Ring):
             top = row[-1]
             row = [(a + top * b) % p for a, b in zip([0] + row[:-1], first)]
         self.rows = rows
-
-    def from_encoding(self, enc: int) -> int:
-        v = shift = 0
-        for _ in range(self.d):
-            enc, c = divmod(enc, self.p)
-            v |= c << shift
-            shift += self.slot
-        return v
 
     def _norm(self, v: int) -> int:
         """Each of the d slots of v taken mod p."""
@@ -224,10 +213,6 @@ class _RingP(_Ring):
     def sum(self, terms) -> int:
         # at most 2d(p-1) terms keep every slot below 2^slot
         return self._norm(sum(terms))
-
-    def coprime(self, a: int) -> bool:
-        """True when gcd(f, a) has degree zero."""
-        return _pgcd_is_const(list(self.modulus), list(self.unpack(a)), self.p)
 
 
 def _make_ring(modulus: tuple, p: int) -> _Ring:

@@ -122,6 +122,13 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     rc, out = run(capsys, "verify", "--p", "3", "--s", "1", "--m", "4", "--N", "2")
     assert rc == 4
     assert out.startswith("MISMATCH:")
+    rc, out = run(capsys, "verify", "--p", "3", "--s", "1", "--m", "4", "--N", "2",
+                  "--format", "json")
+    assert rc == 4
+    [line] = out.splitlines()
+    rec = json.loads(line)
+    assert tuple(rec) == cli._SCHEMA
+    assert rec["verify"] == {"match": False, "oracle_method": "brute"}
 
 
 def test_bounds_text(capsys):
@@ -290,17 +297,19 @@ def test_json_verify_block(capsys):
     assert rec["thm14"] == {"integral": True, "congruent": True, "bounded": True}
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--p", "2", "--s", "1", "--m", "4", "--N", "3"),
+@pytest.mark.parametrize("argv, status", [
+    (("verify", "--p", "2", "--s", "1", "--m", "4", "--N", "3"), 0),
     # irrational periods: the record carries their text
-    ("periods", "--p", "3", "--s", "1", "--m", "3", "--N", "2", "--method", "brute"),
-    ("table1",),
-], ids=["verify", "periods-irrational", "table1"])
-def test_report_roundtrip(capsys, argv):
+    (("periods", "--p", "3", "--s", "1", "--m", "3", "--N", "2", "--method", "brute"), 0),
+    (("table1",), 0),
+    # no closed form: the oracle's record is printed with exit 3
+    (("verify", "--p", "3", "--s", "1", "--m", "4", "--N", "8"), 3),
+], ids=["verify", "periods-irrational", "table1", "verify-no-closed-form"])
+def test_report_roundtrip(capsys, argv, status):
     # one plain JSON object per run, its keys in schema order: encoding the
     # parsed record again gives the printed line byte for byte
     rc, out = run(capsys, *argv, "--format", "json")
-    assert rc == 0
+    assert rc == status
     rec = json.loads(out)
     assert tuple(rec) == cli._SCHEMA
     assert json.dumps(rec) + "\n" == out

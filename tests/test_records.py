@@ -176,3 +176,16 @@ def test_equal_values_hash_equal():
         assert value == n and hash(value) == hash(n)
         assert n in {value} and value in {n}
         assert {value: 1}[n] == 1 and {n: 1}[value] == 1
+    # a rational value equals the int it is, whatever its p or D
+    a = cyclotomy.RootOfUnitySum.from_integer(5, 7)
+    b = cyclotomy.RootOfUnitySum.from_integer(3, 7)
+    c = closed_forms.QuadraticValue.from_integer(7, 5)
+    for x, y in [(a, b), (a, c), (b, c)]:
+        assert x == y and y == x and not x != y
+        assert len({x, y}) == 1
+    # an irrational value built from an iterator equals the one built from its
+    # tuple, and a foreign type is left to its own __eq__
+    irr = cyclotomy.RootOfUnitySum(7, (1, 2, 0, 0, 3, 0, 0))
+    twin = cyclotomy.RootOfUnitySum(7, iter(irr.counts))
+    assert twin == irr and hash(twin) == hash(irr)
+    assert irr.__eq__("x") is NotImplemented
