@@ -205,11 +205,7 @@ class PeriodPolynomial(_Record):
                 raise AssertionError("root multiplicities must sum to N")
             if expand_roots(roots) != coeffs:
                 raise AssertionError("roots do not expand to the coefficients")
-        set_field = object.__setattr__
-        set_field(self, "N", N)
-        set_field(self, "r", r)
-        set_field(self, "coeffs", coeffs)
-        set_field(self, "roots", roots)
+        super().__init__(N, r, coeffs, roots)
 
     def evaluate(self, x: int) -> int:
         acc = 0

@@ -6,12 +6,16 @@ in the numeric cross-check helpers.  A period set of order N is one (N, p)
 count matrix whose row k is period k in that canonical form, and a table of
 cyclotomic numbers is likewise its (N, N) int64 count matrix.
 
-The period histogram is keyed on blocks of the trace sequence, never on one
-key per field element.  The trace sequence is narrow (one byte up to
-p = 256), and so is the count matrix: its entries lie in [-n, n] with
-n = (r - 1)/N, so it has the narrowest signed dtype that holds them (int8
-for n < 2^7, int16 for n < 2^15, int32 otherwise).  Every sum of squares,
-product or shifted sum over them is taken in int64 or as Python ints.
+Both tables are (class mod N, value) histograms of a whole-field
+sequence, counted by one builder on blocks of it, never on one key per
+field element.  The periods count the trace sequence, and the cyclotomic
+numbers count the successor logs mod N, less the one entry of x = -1,
+whose successor 0 has no log.  The trace sequence is narrow (one byte up
+to p = 256), and so is the period count matrix: its entries lie in [-n, n]
+with n = (r - 1)/N, so it has the narrowest signed dtype that holds them
+(int8 for n < 2^7, int16 for n < 2^15, int32 otherwise).  Every sum of
+squares, product or shifted sum over them is taken in int64 or as Python
+ints.
 
 Period sets verify two classical identities at construction time, on the
 (class, trace) histogram before it is made canonical: the sum of all periods
@@ -29,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -122,7 +127,8 @@ class RootOfUnitySum:
 
     @property
     def is_integer(self) -> bool:
-        return not any(self.counts[1:])
+        # islice reads the coordinates in place, where a slice copies p - 1
+        return not any(islice(self.counts, 1, None))
 
     def as_integer(self) -> int:
         if not self.is_integer:
@@ -320,39 +326,41 @@ def _orbit_invariant(hist: np.ndarray, g: int, a0: int) -> bool:
     return True
 
 
-def _class_trace_histogram(tr: np.ndarray, N: int, p: int) -> np.ndarray:
-    """hist[c, v] = #{k : k = c (mod N), tr[k] = v}, as an (N, p) matrix in
-    the narrowest signed dtype that holds n = len(tr) / N.  Every entry, and
-    every entry of the canonical form hist[c] - hist[c, p-1], lies in
+def _class_histogram(x: np.ndarray, N: int, V: int) -> np.ndarray:
+    """hist[c, v] = #{k : k = c (mod N), x[k] = v}, for values 0 <= x[k] < V,
+    as an (N, V) matrix in the narrowest signed dtype that holds
+    n = len(x) / N.  The periods count the trace sequence (V = p), the
+    cyclotomic numbers the successor logs mod N (V = N).  Every entry, and
+    every entry of the canonical form hist[c] - hist[c, V-1], lies in
     [-n, n]; n < r <= TOWER_CAP < 2^31, so int32 always suffices.
 
-    Column c of tr.reshape(-1, N) holds class c.  Blocks of columns are
-    counted in turn, keyed tr[k] + p * (class less the block's first), a
+    Column c of x.reshape(-1, N) holds class c.  Blocks of columns are
+    counted in turn, keyed x[k] + V * (class less the block's first), a
     block of rows at a time.  A block is sized so that neither the int64
     keys nor the int64 bincount output holds more bytes than the larger of
-    hist and tr, nor more than SCRATCH_BLOCK entries; blocks of fewer than
+    hist and x, nor more than SCRATCH_BLOCK entries; blocks of fewer than
     SCRATCH_BLOCK / 16 entries are not worth a call, so that is the floor.
-    The calls' total cost stays a small multiple of r + N * p.
+    The calls' total cost stays a small multiple of len(x) + N * V.
     """
-    rows = tr.reshape(-1, N)
+    rows = x.reshape(-1, N)
     # -n - 1, not -n: int8 holds -128 but not 128
-    hist = np.zeros(N * p, dtype=np.min_scalar_type(-len(rows) - 1))
-    block = min(SCRATCH_BLOCK, max(SCRATCH_BLOCK >> 4, hist.nbytes // 8, tr.nbytes // 8))
-    width = max(1, block // p)
+    hist = np.zeros(N * V, dtype=np.min_scalar_type(-len(rows) - 1))
+    block = min(SCRATCH_BLOCK, max(SCRATCH_BLOCK >> 4, hist.nbytes // 8, x.nbytes // 8))
+    width = max(1, block // V)
     for c in range(0, N, width):
         cols = rows[:, c : c + width]
         w = cols.shape[1]
-        step = max(block, w * p) // w
-        offsets = p * np.arange(w, dtype=np.int64)
-        out = hist[c * p : (c + w) * p]
+        step = max(block, w * V) // w
+        offsets = V * np.arange(w, dtype=np.int64)
+        out = hist[c * V : (c + w) * V]
         for lo in range(0, len(rows), step):
-            # offsets are int64, so the narrow trace values are upcast here;
-            # the int64 counts are added in hist's dtype, which holds them
-            # and every partial sum, as none exceeds n
-            counts = np.bincount((cols[lo : lo + step] + offsets).ravel(), minlength=w * p)
+            # offsets are int64, so narrow values are upcast here; the int64
+            # counts are added in hist's dtype, which holds them and every
+            # partial sum, as none exceeds n
+            counts = np.bincount((cols[lo : lo + step] + offsets).ravel(), minlength=w * V)
             np.add(out, counts, out=out, dtype=hist.dtype)
             del counts  # else the next block's counts are made beside it
-    return hist.reshape(N, p)
+    return hist.reshape(N, V)
 
 
 def gaussian_periods_exact(
@@ -375,7 +383,7 @@ def gaussian_periods_exact(
     hit = core.cache.get(key)
     if hit is not None:
         return hit
-    hist = _class_trace_histogram(core.trace_by_log(), N, p)
+    hist = _class_histogram(core.trace_by_log(), N, p)
     _check_period_identities(hist, core, N, dlog_of_minus_one(p, r) % N)
     # canonical form in place: a copy would double the largest array here,
     # and numpy makes one to resolve an overlap unless the column is copied.
@@ -415,16 +423,16 @@ def cyclotomic_numbers(
             f"cyclotomic numbers of order {N} over GF({r}) need {N} x {N} counts, "
             f"past the cap {TOWER_CAP}"
         )
-    core = tower.core
-    slog = core.succ_log()
-    k = np.arange(r - 1, dtype=np.int64)
-    valid = slog >= 0
-    key = (k[valid] % N) * N + (slog[valid] % N)
-    counts = np.bincount(key, minlength=N * N).reshape(N, N)
+    h = dlog_of_minus_one(p, r) % N
+    counts = _class_histogram(tower.core.succ_log() % N, N, N)
+    # succ_log reads -1 at x = -1, which has no successor log: that one
+    # entry, in class h, was counted as -1 % N = N - 1
+    counts[h, N - 1] -= 1
+    counts = counts.astype(np.int64)
     n = (r - 1) // N
     # every x of C_i has x + 1 nonzero, but -1 in C_h
     rows = counts.sum(axis=1)
-    rows[dlog_of_minus_one(p, r) % N] += 1
+    rows[h] += 1
     if not (rows == n).all():
         raise AssertionError("cyclotomic row sums failed")
     if counts.sum() != r - 2:

@@ -21,7 +21,8 @@ class _Record:
     constructor here binds its arguments to them by position or keyword.  A
     slot whose name starts with an underscore is not a field (and "__dict__"
     only makes room for cached properties).  A record that checks or derives
-    values writes its own `__init__` and sets every slot itself through
+    values writes its own `__init__`, which checks, passes its fields on to
+    `super().__init__` and sets only its underscored slots itself, through
     `object.__setattr__`.  A record compares and hashes as the tuple of its
     fields, prints as Name(field=value, ...), pickles through its
     constructor, and refuses assignment and deletion.
@@ -33,6 +34,9 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = attrgetter(*cls._fields)
+        # each field's slot setter, called directly: object.__setattr__ would
+        # look the slot up again for every field of every record built
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -42,8 +46,8 @@ class _Record:
                 raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)};"
                                 f" got {len(args)} positional and keywords {sorted(kwargs)}")
             args = [values[name] for name in fields]
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, args):
+            put(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

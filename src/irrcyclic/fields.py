@@ -9,20 +9,21 @@ whole-field array derives from one sequence, t[k] = Tr(alpha^k) down to
 GF(p), started from the d conjugates of alpha: their power sums are its
 first terms and their product, the minimal polynomial of alpha, is its
 recurrence.  Two towers with the same characteristic and top degree share
-the heavy per-field data (modulus, alpha, trace sequence, log table)
-through a small cache, so sweeping over subfield structures is cheap.  The
-core holds alpha as a packed int and a tower builds its elements on access,
-so no tower is in a reference cycle: a field the cache evicts is freed at
-once, and the cache's size bound is a bound on memory.
+the heavy per-field data (modulus, alpha, trace sequence, successor-log
+table) through a small cache, so sweeping over subfield structures is
+cheap.  The core holds alpha as a packed int and a tower builds its
+elements on access, so no tower is in a reference cycle: a field the cache
+evicts is freed at once, and the cache's size bound is a bound on memory.
 
 Each whole-field array is stored at the width its values need: t in the
 smallest unsigned type that holds p - 1 (one byte up to p = 256), the
-subfield trace-zero masks as booleans, and the log and successor-log
-tables, whose entries reach r <= TOWER_CAP < 2^31, in int32.  Arithmetic on
-t runs in wider scratch blocks of SCRATCH_BLOCK entries, because sums and
-products of narrow entries wrap: the sequence is built in the narrowest
-unsigned type that holds d (p - 1)^2, and the period histograms key in
-int64.
+subfield trace-zero masks as booleans, and the successor-log table, whose
+entries reach r <= TOWER_CAP < 2^31, in int32.  The log table it is read
+through is int32 too, but is built on each call and kept nowhere.
+Arithmetic on t runs in wider scratch blocks of SCRATCH_BLOCK entries,
+because sums and products of narrow entries wrap: the sequence is built in
+the narrowest unsigned type that holds d (p - 1)^2, and the class
+histograms key in int64.
 
 Coefficient tuples are ascending: coeffs[i] multiplies x**i.  The integer
 encoding of an element is sum(coeffs[i] * p**i), and "smallest" modulus or
@@ -49,7 +50,7 @@ import numpy as np
 from . import numtheory
 from .errors import ZeroHasNoLog, require_tower_size
 
-# entries of a scratch block: the trace sequence is summed, and the period
+# entries of a scratch block: the trace sequence is summed, and the class
 # histograms in cyclotomy are keyed, this many elements at a time
 SCRATCH_BLOCK = 1 << 16
 
@@ -307,7 +308,6 @@ class _Core:
         self.alpha = self._find_primitive()
         self._seq: np.ndarray | None = None
         self._trace_by_log: np.ndarray | None = None
-        self._log: np.ndarray | None = None
         self._succ_log: np.ndarray | None = None
         self.cache: dict = {}
 
@@ -434,21 +434,21 @@ class _Core:
         """table[c] = k where c = sum_i Tr(alpha^(k+i)) p^i is the window
         code of alpha^k, and -1 at c = 0, the code of zero.
 
-        An r-entry array, read by `succ_log`: callers have already passed an
-        enumeration budget.  A single discrete log never builds it.
+        An r-entry array, built on each call and kept nowhere: `succ_log`
+        reads it once and keeps only its own result, and its callers have
+        already passed an enumeration budget.  A single discrete log never
+        builds it.
         """
-        if self._log is None:
-            # a log is below r <= TOWER_CAP < 2^31
-            table = np.full(self.r, -1, dtype=np.int32)
-            table[self._window_codes(np.zeros(self.d, dtype=np.int64))] = np.arange(
-                self.r - 1, dtype=np.int32
-            )
-            # r - 1 writes cover the r - 1 slots of log[1:] only if each
-            # slot is written exactly once and zero is never hit
-            if table[0] != -1 or (table[1:] < 0).any():
-                raise AssertionError("trace windows must biject onto the nonzero codes")
-            self._log = table
-        return self._log
+        # a log is below r <= TOWER_CAP < 2^31
+        table = np.full(self.r, -1, dtype=np.int32)
+        table[self._window_codes(np.zeros(self.d, dtype=np.int64))] = np.arange(
+            self.r - 1, dtype=np.int32
+        )
+        # r - 1 writes cover the r - 1 slots of log[1:] only if each
+        # slot is written exactly once and zero is never hit
+        if table[0] != -1 or (table[1:] < 0).any():
+            raise AssertionError("trace windows must biject onto the nonzero codes")
+        return table
 
     def succ_log(self) -> np.ndarray:
         """dlog(alpha^k + 1) indexed by k, with -1 where alpha^k = -1."""

@@ -51,23 +51,13 @@ class CodeSpec(_Record):
 
     def __init__(self, p: int, s: int, m: int, N: int, q: int, r: int, n: int,
                  N1: int, m0: int, kernel_size: int):
-        set_field = object.__setattr__
-        set_field(self, "p", p)
-        set_field(self, "s", s)
-        set_field(self, "m", m)
-        set_field(self, "N", N)
-        set_field(self, "q", q)
-        set_field(self, "r", r)
-        set_field(self, "n", n)
-        set_field(self, "N1", N1)
-        set_field(self, "m0", m0)
-        set_field(self, "kernel_size", kernel_size)
-        set_field(self, "_divisor", (q - 1) // math.gcd(q - 1, N // N1))
+        super().__init__(p, s, m, N, q, r, n, N1, m0, kernel_size)
+        object.__setattr__(self, "_divisor", (q - 1) // math.gcd(q - 1, N // N1))
         # the square root is floored before the outer division is rounded,
         # keeping both endpoints exact integers
         radius = math.isqrt((N1 - 1) ** 2 * r)
         num_lo, num_hi, den = (q - 1) * (r - radius), (q - 1) * (r + radius), q * N
-        set_field(self, "_bounds", (-(-num_lo // den), num_hi // den))
+        object.__setattr__(self, "_bounds", (-(-num_lo // den), num_hi // den))
 
     @property
     def degenerate(self) -> bool:
@@ -194,10 +184,7 @@ class WeightDistribution(_Record):
             lo, hi = spec._bounds
             if not (lo <= entries[0][0] and entries[-1][0] <= hi):
                 raise AssertionError("weights violate the bound theorem")
-        set_field = object.__setattr__
-        set_field(self, "spec", spec)
-        set_field(self, "entries", entries)
-        set_field(self, "method", method)
+        super().__init__(spec, entries, method)
 
     def counts_by_weight(self) -> dict[int, int]:
         return dict(self.entries)

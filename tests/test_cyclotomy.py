@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrcyclic import closed_forms, cyclotomy
+from irrcyclic import closed_forms, cyclotomy, numtheory
 from irrcyclic.errors import DEFAULT_ENUM_BUDGET, EvenPrime, NotADivisor, SizeBudgetExceeded
 from irrcyclic.fields import FieldTower, _Core, build_tower
 
@@ -38,6 +38,24 @@ def test_rous_integer_detection():
     assert one == 2
     v = cyclotomy.RootOfUnitySum(5, (0, 1, 0, 0, 0))
     assert not v.is_integer
+
+
+def test_rous_integer_test_copies_no_coordinates():
+    # is_integer reads the p - 1 coordinates past the first in place, and
+    # hash and the comparison with an int ask it: a slice of the tuple
+    # would cost 8 bytes a coordinate, 8 MB here
+    p = 1000003
+    v = cyclotomy.RootOfUnitySum(p, [0, 2] + [0] * (p - 2))
+    tracemalloc.start()
+    try:
+        irrational = not v.is_integer
+        hash(v)
+        assert v != 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert irrational
+    assert peak < 1 << 20, peak
 
 
 def test_rous_ring_ops():
@@ -111,6 +129,52 @@ def test_cyclotomic_table_is_its_count_matrix():
             for i in range(N):
                 for j in range(N):
                     assert type(table[i, j]) is int and table[i, j] == want[i, j]
+
+
+def _index_array_count(slog, N):
+    """The (N, N) cyclotomic counts keyed one int64 pair per element: the
+    reference the class histogram replaced."""
+    k = np.arange(len(slog), dtype=np.int64)
+    valid = slog >= 0
+    key = (k[valid] % N) * N + (slog[valid] % N)
+    return np.bincount(key, minlength=N * N).reshape(N, N)
+
+
+def test_cyclotomic_numbers_match_the_index_array_count():
+    # every field of criterion 5 (r <= 2^12) and every order N | r - 1 with
+    # an (N, N) table of at most 2^14 entries
+    tables = 0
+    for r in range(2, 4097):
+        fac = numtheory.factorize(r)
+        if len(fac) != 1:
+            continue
+        (p, d), = fac.items()
+        t = build_tower(p, 1, d)
+        slog = t.core.succ_log()
+        for N in numtheory.divisors(r - 1):
+            if N * N > 1 << 14:
+                break
+            table = cyclotomy.cyclotomic_numbers(t, N)
+            assert table.counts.dtype == np.int64, (r, N)
+            assert (table.counts == _index_array_count(slog, N)).all(), (r, N)
+            tables += 1
+    assert tables > 3000
+
+
+def test_cyclotomic_numbers_peak_memory():
+    # with the successor logs built, the count reads them mod N (int32, 4
+    # bytes per element) and the class histogram keys a block at a time:
+    # no int64 whole-field key is made
+    t = FieldTower(3, 1, 13, _Core(3, 13))
+    t.core.succ_log()
+    tracemalloc.start()
+    try:
+        table = cyclotomy.cyclotomic_numbers(t, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.sum() == t.r - 2
+    assert peak < 6 * t.r, peak / t.r
 
 
 def test_cyclotomic_class_membership():
@@ -273,7 +337,7 @@ def test_class_trace_histogram_blocks(monkeypatch, p, d, N, block):
         tr.astype(np.int64) + p * (np.arange(len(tr)) % N), minlength=N * p
     ).reshape(N, p)
     monkeypatch.setattr(cyclotomy, "SCRATCH_BLOCK", block)
-    got = cyclotomy._class_trace_histogram(tr, N, p)
+    got = cyclotomy._class_histogram(tr, N, p)
     assert got.dtype == np.min_scalar_type(-(len(tr) // N) - 1) and (got == want).all()
 
 
@@ -392,7 +456,7 @@ def test_orbit_product_check_matches_the_reference(p, d):
     tr = t.core.trace_by_log()
     orders = 0
     for N in (N for N in range(2, t.r) if (t.r - 1) % N == 0):
-        hist = cyclotomy._class_trace_histogram(tr, N, p)
+        hist = cyclotomy._class_histogram(tr, N, p)
         orders += 1
         h = cyclotomy.dlog_of_minus_one(p, t.r) % N
         table = _product_table(hist)
@@ -415,7 +479,7 @@ def test_one_check_reads_the_period_sum(d):
     t = build_tower(2, 1, d)
     tr = t.core.trace_by_log()
     for N in (N for N in range(1, t.r) if (t.r - 1) % N == 0):
-        hist = cyclotomy._class_trace_histogram(tr, N, 2)
+        hist = cyclotomy._class_histogram(tr, N, 2)
         cyclotomy._check_period_identities(hist, t.core, N, 0)
         i = int(np.flatnonzero(hist[:, 0])[0])
         bad = hist.copy()
@@ -434,7 +498,7 @@ def test_orbit_check_reads_the_row_sums():
     # over GF(13^2) at N = 4, but two rows no longer sum to n
     t = build_tower(13, 1, 2)
     N, p = 4, 13
-    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    hist = cyclotomy._class_histogram(t.core.trace_by_log(), N, p)
     g = (t.r - 1) // (p - 1)
     a0 = t.core.ring.pow(t.core.alpha, g)
     bad = hist.copy()
@@ -452,7 +516,7 @@ def test_orbit_check_reads_the_row_sums():
 @pytest.mark.parametrize("p,d,N", [(7, 4, 80), (7, 4, 2400), (61, 2, 3720), (601, 2, 600)])
 def test_table_product_check_catches_a_count_moved_between_nonzero_columns(p, d, N):
     t = build_tower(p, 1, d)
-    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    hist = cyclotomy._class_histogram(t.core.trace_by_log(), N, p)
     h = cyclotomy.dlog_of_minus_one(p, t.r) % N
     cyclotomy._check_period_identities(hist, t.core, N, h)
     with pytest.raises(AssertionError, match="period product identity failed"):
@@ -464,7 +528,7 @@ def test_table_product_check_reads_every_column(monkeypatch):
     # either column must be caught
     t = build_tower(7, 1, 4)
     N, p = 80, 7
-    hist = cyclotomy._class_trace_histogram(t.core.trace_by_log(), N, p)
+    hist = cyclotomy._class_histogram(t.core.trace_by_log(), N, p)
     h = cyclotomy.dlog_of_minus_one(p, t.r) % N
     good = cyclotomy._autocorrelation
     for column, k in [(0, 0), (0, 3), (1, 0), (1, 77)]:
@@ -684,7 +748,7 @@ def test_period_checks_hold_under_optimize():
         "from irrcyclic import closed_forms, cyclotomy, fields\n"
         "def moved(p, d, N, a, b):\n"
         "    tower = fields.build_tower(p, 1, d)\n"
-        "    hist = cyclotomy._class_trace_histogram(tower.core.trace_by_log(), N, p)\n"
+        "    hist = cyclotomy._class_histogram(tower.core.trace_by_log(), N, p)\n"
         "    hist[a] -= 1\n"
         "    hist[b] += 1\n"
         "    h = cyclotomy.dlog_of_minus_one(p, tower.r) % N\n"

@@ -165,24 +165,46 @@ def test_discrete_log_roundtrip():
         t.discrete_log(t.zero)
 
 
-def test_discrete_log_bsgs_matches_table():
+def _no_log_table(*args):
+    raise AssertionError("a discrete log built the log table")
+
+
+def test_discrete_log_bsgs_matches_table(monkeypatch):
     # baby-step giant-step agrees with the whole-field log table, read through
     # succ_log at the code of alpha^k + 1, and builds no table of its own
     t = FieldTower(3, 1, 4, _Core(3, 4))
-    logs = [t.discrete_log(t.alpha ** k + t.one) if k != (t.r - 1) // 2 else -1
-            for k in range(t.r - 1)]
-    assert t.core._log is None
+    with monkeypatch.context() as patch:
+        patch.setattr(_Core, "log_table", _no_log_table)
+        logs = [t.discrete_log(t.alpha ** k + t.one) if k != (t.r - 1) // 2 else -1
+                for k in range(t.r - 1)]
     assert logs == t.core.succ_log().tolist()
 
 
-def test_discrete_log_past_the_budget_builds_no_table():
+def test_discrete_log_past_the_budget_builds_no_table(monkeypatch):
     # r = 3^14 is above the default enumeration budget, so the whole-field
     # log table is never built
     t = build_tower(3, 1, 14)
     assert t.r > DEFAULT_ENUM_BUDGET
+    monkeypatch.setattr(_Core, "log_table", _no_log_table)
     for k in (0, 1, 7, 45, 12345, t.r // 3, t.r - 2):
         assert t.discrete_log(t.alpha ** k) == k
-    assert t.core._log is None
+
+
+def test_core_keeps_no_log_table():
+    # succ_log reads the log table once and keeps only its own result: the
+    # core then holds t (one byte per entry at p = 3) and the int32
+    # successor logs, 5 bytes per element, and a second log_table is a
+    # fresh array
+    tracemalloc.start()
+    try:
+        core = _Core(3, 10)
+        slog = core.succ_log()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 5.25 * core.r, held / core.r
+    assert core.succ_log() is slog
+    assert core.log_table() is not core.log_table()
 
 
 def test_element_arithmetic():
