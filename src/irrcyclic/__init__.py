@@ -22,7 +22,6 @@ _EXPORTS = {
         "index2_periods",
         "period_poly_order3",
         "period_poly_order4",
-        "periods_order2",
         "quadratic_gauss_sum",
         "semiprimitive_gauss_sums",
         "semiprimitive_periods",
@@ -56,9 +55,6 @@ _EXPORTS = {
         "check_period_properties",
         "code_params",
         "divisibility",
-        "index2_weight",
-        "is_constant_weight",
-        "prime_power_distribution",
         "weight_distribution",
         "weight_from_period",
     ),

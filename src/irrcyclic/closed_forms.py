@@ -14,7 +14,6 @@ from collections import Counter
 from . import numtheory
 from .errors import (
     EvenPrime,
-    IrrationalPeriod,
     NotIndexTwo,
     NotSemiprimitive,
     _Record,
@@ -157,22 +156,6 @@ def quadratic_gauss_sum(p: int, s: int) -> QuadraticValue:
         return QuadraticValue.from_integer(sign * p ** (s // 2), p)
     root = p if p % 4 == 1 else -p
     return QuadraticValue(0, 2 * sign * p ** ((s - 1) // 2), root)
-
-
-def periods_order2(p: int, s: int, m: int) -> tuple[int, int]:
-    """The two Gaussian periods of order 2 over GF(p^(s*m)), odd p.
-
-    eta_0 sums the additive character over the nonzero squares.  Integral
-    only in even total degree; odd degrees raise IrrationalPeriod.  p = -1
-    (mod 2) makes this the semiprimitive case with j = 1 and gamma = d/2.
-    """
-    if p == 2:
-        raise EvenPrime("order-2 periods need odd characteristic")
-    numtheory.require_prime(p)
-    d = s * m
-    if d % 2:
-        raise IrrationalPeriod(f"order-2 periods over GF({p}^{d}) are irrational")
-    return tuple(semiprimitive_periods(p, 1, d // 2, 2).as_list())
 
 
 def expand_roots(roots) -> tuple[int, ...]:

@@ -123,10 +123,6 @@ class NonIntegralWeight(Error):
     """A weight formula produced a non-integer; the inputs are inconsistent."""
 
 
-class OrderNotPrimePower(Error):
-    """The multiplicative order is not the required prime power."""
-
-
 class Unsupported(Error):
     """No closed form applies and exhaustive search is out of budget."""
 

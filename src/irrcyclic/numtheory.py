@@ -297,7 +297,7 @@ def semiprimitive_j(p: int, N: int, *, divisor_of: int | None = None) -> int | N
         return None
     e = mult_order(p, N, divisor_of=divisor_of)
     if N <= 2:
-        # -1 = 1 mod N, so j = order works; callers only use N >= 3
+        # -1 = 1 mod N, so j is the order of p mod N, which is 1 (thm18: N = 2)
         return e
     if e % 2 == 0 and pow(p, e // 2, N) == N - 1:
         return e // 2

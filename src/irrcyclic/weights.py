@@ -23,13 +23,8 @@ from collections import Counter
 from . import closed_forms, numtheory
 from .errors import (
     DEFAULT_ENUM_BUDGET,
-    EvenPrime,
     IrrationalPeriod,
     NonIntegralWeight,
-    NotCoprime,
-    NotIndexTwo,
-    NotPrime,
-    OrderNotPrimePower,
     SizeBudgetExceeded,
     Unsupported,
     _Record,
@@ -83,32 +78,16 @@ def code_params(p: int, s: int, m: int, N: int) -> CodeSpec:
     return CodeSpec(p, s, m, N, q, r, n, N1, m0, q ** (m - m0))
 
 
-def _weight(spec: CodeSpec, num: int, what: str) -> int:
-    """num / (qN) as a weight of the code; what names the source in the refusal."""
+def weight_from_period(spec: CodeSpec, eta: int) -> int:
+    """Weight of every codeword whose beta lies in the class with period eta."""
+    num = (spec.q - 1) * (spec.r - 1 - spec.N1 * eta)
     den = spec.q * spec.N
     w, rem = divmod(num, den)
     if rem or not 0 <= w <= spec.n:
         g = math.gcd(num, den)
         text = str(num // g) if g == den else f"{num // g}/{den // g}"
-        raise NonIntegralWeight(f"{what} gives weight {text} for {spec}")
+        raise NonIntegralWeight(f"period {eta} gives weight {text} for {spec}")
     return w
-
-
-def weight_from_period(spec: CodeSpec, eta: int) -> int:
-    """Weight of every codeword whose beta lies in the class with period eta."""
-    return _weight(spec, (spec.q - 1) * (spec.r - 1 - spec.N1 * eta), f"period {eta}")
-
-
-def index2_weight(spec: CodeSpec, i: int, params: closed_forms.IndexTwoParams) -> int:
-    """Weight of the codewords whose beta sits in index-two class i.
-
-    The class sum collapses to a telescoping series in the exact Gauss-sum
-    ingredients; the result must come out a nonnegative integer.
-    """
-    if params.N1 != spec.N1:
-        raise NotIndexTwo(f"parameters are for order {params.N1}, spec has N1 = {spec.N1}")
-    num = (spec.q - 1) * (spec.r - params.class_sum(i))
-    return _weight(spec, num, f"index-two class {i}")
 
 
 def divisibility(spec: CodeSpec) -> int:
@@ -120,15 +99,6 @@ def bounds(spec: CodeSpec) -> tuple[int, int]:
     """Closed interval guaranteed to contain every nonzero weight:
     (q-1)(r -+ floor(sqrt((N1-1)^2 r))) / (qN), rounded inward."""
     return spec._bounds
-
-
-def is_constant_weight(spec: CodeSpec) -> bool:
-    """True when all nonzero codewords share one weight.
-
-    N1 = 1 is the classical criterion; one-dimensional degenerate codes are
-    scalar multiples of a single word and are constant-weight as well.
-    """
-    return spec.N1 == 1 or spec.m0 == 1
 
 
 class PeriodCheck(_Record):
@@ -340,37 +310,3 @@ def weight_distribution(
             raise SizeBudgetExceeded(f"r = {spec.r} exceeds the enumeration budget {budget}")
         raise Unsupported(f"no closed form applies to {spec} and r = {spec.r} is out of budget")
     return _brute(spec, budget)
-
-
-def prime_power_distribution(q: int, t: int, ell: int, jj: int) -> WeightDistribution:
-    """Distribution of the length-t^jj code over GF(q) from the prime-power form.
-
-    q is a prime power with multiplicative order t^d modulo t^ell for some d
-    (anything else raises OrderNotPrimePower); the code is C(q^m - 1, N) with
-    m that order and N = (q^m - 1) / t^jj.
-    """
-    power = numtheory.prime_power(q)
-    if power is None:
-        raise NotPrime(f"q = {q} is not a prime power")
-    p, s = power
-    if t == 2:
-        raise EvenPrime("the length prime t must be odd")
-    numtheory.require_prime(t)
-    if ell < 1 or not 1 <= jj <= ell:
-        raise ValueError("need ell >= 1 and 1 <= jj <= ell")
-    # the order is a power of t exactly when q^(t^(ell-1)) = 1 (mod t^ell):
-    # raise q to t, t^2, ... rather than factor t^ell
-    modulus = t**ell
-    if q % t == 0:
-        raise NotCoprime(f"{q % modulus} shares a factor with {modulus}")
-    x, m = q % modulus, 1
-    while x != 1 and m < modulus // t:
-        x, m = pow(x, t, modulus), m * t
-    if x != 1:
-        raise OrderNotPrimePower(f"ord(q mod t^ell) is not a power of {t}")
-    N = (q**m - 1) // t**jj
-    spec = code_params(p, s, m, N)
-    shape = _prime_power_attempt(spec)
-    if shape is None:
-        raise AssertionError("validated parameters must fit the prime-power form")
-    return WeightDistribution(spec, _prime_power_entries(spec, *shape), "thm23")

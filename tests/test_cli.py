@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from irrcyclic import cli, errors, numtheory, weights
+from irrcyclic import cli, numtheory, weights
 
 
 def run(capsys, *argv):

@@ -10,7 +10,6 @@ from irrcyclic import closed_forms as cf
 from irrcyclic import cyclotomy, numtheory
 from irrcyclic.errors import (
     EvenPrime,
-    IrrationalPeriod,
     NotADivisor,
     NotIndexTwo,
     NotSemiprimitive,
@@ -97,31 +96,6 @@ def test_quadratic_gauss_sum_numeric_small_fields():
         want = cf.quadratic_gauss_sum(p, 2).value()
         got = cyclotomy.gauss_sum_numeric(t, 2, 1)
         assert abs(got - want) < 1e-9
-
-
-# -- order-2 periods
-
-
-def test_periods_order2_values():
-    assert cf.periods_order2(7, 1, 2) == (3, -4)
-    assert cf.periods_order2(5, 1, 2) == (-3, 2)
-    assert cf.periods_order2(3, 1, 4) == (-5, 4)
-    assert cf.periods_order2(3, 2, 2) == (-5, 4)
-    assert cf.periods_order2(3, 1, 6) == (13, -14)
-
-
-def test_periods_order2_guards():
-    with pytest.raises(IrrationalPeriod):
-        cf.periods_order2(3, 1, 3)
-    with pytest.raises(EvenPrime):
-        cf.periods_order2(2, 1, 4)
-
-
-def test_periods_order2_match_brute():
-    for p, s, m in [(3, 1, 2), (3, 1, 4), (5, 1, 2), (7, 1, 2), (3, 2, 2), (5, 1, 4)]:
-        t = build_tower(p, s, m)
-        assert cyclotomy.gaussian_periods_exact(t, 2).integer_values == \
-            cf.periods_order2(p, s, m)
 
 
 # -- period polynomials of orders 3 and 4
@@ -242,8 +216,6 @@ def test_semiprimitive_orders_one_and_two():
             assert cf.semiprimitive_gauss_sums(p, 1, g, 1) == []
             assert cf.semiprimitive_gauss_sums(p, 1, g, 2) == \
                 [cf.quadratic_gauss_sum(p, 2 * g).as_integer()]
-            assert tuple(cf.semiprimitive_periods(p, 1, g, 2).as_list()) == \
-                cf.periods_order2(p, 1, 2 * g)
     with pytest.raises(NotSemiprimitive):
         cf.semiprimitive_periods(2, 1, 1, 2)
 
@@ -255,7 +227,7 @@ def test_semiprimitive_periods_keep_the_dedicated_formulas():
         for d in range(2, 41, 2):
             root, odd = p ** (d // 2), (d // 2) % 2
             eta0 = (-1 + root) // 2 if p % 4 == 3 and odd else (-1 - root) // 2
-            assert cf.periods_order2(p, 1, d) == (eta0, -1 - eta0)
+            assert cf.semiprimitive_periods(p, 1, d // 2, 2).as_list() == [eta0, -1 - eta0]
             sign = 1 if odd else -1
             if p % 3 == 2:
                 assert cf._roots_order3(p, d) == (

@@ -131,6 +131,23 @@ def test_cyclotomic_table_is_its_count_matrix():
                     assert type(table[i, j]) is int and table[i, j] == want[i, j]
 
 
+def test_cyclotomic_numbers_catch_a_count_moved_between_columns(monkeypatch):
+    # one count of row 1 moved from column 0 to column 2 keeps every row sum;
+    # the column sums sum_i (i, j) = n - [j = 0] catch it
+    t = build_tower(3, 1, 4)
+    count = cyclotomy._class_histogram
+
+    def moved(x, N, V):
+        hist = count(x, N, V)
+        hist[1, 0] -= 1
+        hist[1, 2] += 1
+        return hist
+
+    monkeypatch.setattr(cyclotomy, "_class_histogram", moved)
+    with pytest.raises(AssertionError, match="column sums"):
+        cyclotomy.cyclotomic_numbers(t, 8)
+
+
 def _index_array_count(slog, N):
     """The (N, N) cyclotomic counts keyed one int64 pair per element: the
     reference the class histogram replaced."""

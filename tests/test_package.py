@@ -1,5 +1,6 @@
 """The package namespace: lazy exports that resolve to their source objects."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -8,6 +9,8 @@ import types
 from pathlib import Path
 
 import irrcyclic
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_resolves_to_its_source():
@@ -56,8 +59,38 @@ def test_lazy_submodules_get_their_own_import_time_lines():
 
 
 def test_readme_lists_every_export():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("### Library API", 1)[1]
     items = re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", section, re.M | re.S)
     listed = {module: tuple(re.findall(r"`(\w+)`", names)) for module, names in items}
     assert listed == irrcyclic._EXPORTS
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that path imports and never reads; a module's `__all__`
+    strings count as reads, so a package re-export is not unused."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read |= {leaf.value for leaf in ast.walk(node.value)
+                     if isinstance(leaf, ast.Constant)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted([*ROOT.glob("src/irrcyclic/*.py"), *ROOT.glob("tests/*.py")])
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -2,22 +2,17 @@ import math
 import pickle
 import subprocess
 import sys
-import time
-import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrcyclic import closed_forms, cyclotomy, numtheory, weights
+from irrcyclic import closed_forms, cyclotomy, weights
 from irrcyclic.errors import (
     NonIntegralWeight,
     NotADivisor,
-    NotCoprime,
-    NotIndexTwo,
     NotPrime,
-    OrderNotPrimePower,
     Unsupported,
 )
 from irrcyclic.fields import build_tower
@@ -57,19 +52,6 @@ def test_weight_from_period():
     assert str(exc.value) == "period -26 gives weight 60 for CodeSpec(p=7, s=1, m=3, N=6)"
 
 
-def test_index2_weight_refusal_text():
-    # a stand-in whose class sum gives (q - 1)(r - 1)/(qN) = 7/14
-    spec = weights.code_params(2, 1, 3, 7)
-    params = types.SimpleNamespace(N1=7, class_sum=lambda i: 1)
-    with pytest.raises(NonIntegralWeight) as exc:
-        weights.index2_weight(spec, 3, params)
-    assert str(exc.value) == "index-two class 3 gives weight 1/2 for CodeSpec(p=2, s=1, m=3, N=7)"
-    params = types.SimpleNamespace(N1=7, class_sum=lambda i: -20)
-    with pytest.raises(NonIntegralWeight) as exc:
-        weights.index2_weight(spec, 0, params)
-    assert str(exc.value) == "index-two class 0 gives weight 2 for CodeSpec(p=2, s=1, m=3, N=7)"
-
-
 def test_divisor_and_bounds_are_derived_once_per_spec():
     for p, s, m in [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 3), (3, 2, 2)]:
         r = p ** (s * m)
@@ -100,12 +82,6 @@ def test_divisibility_and_bounds_examples():
     assert weights.divisibility(weights.code_params(2, 2, 3, 9)) == 1
 
 
-def test_is_constant_weight():
-    assert weights.is_constant_weight(weights.code_params(2, 2, 2, 3))
-    assert weights.is_constant_weight(weights.code_params(2, 1, 4, 15))
-    assert not weights.is_constant_weight(weights.code_params(3, 1, 4, 2))
-
-
 DISPATCH_CASES = [
     # (p, s, m, N) -> method, {weight: count}
     ((3, 1, 4, 2), "thm18", {24: 40, 30: 40}),
@@ -125,6 +101,10 @@ DISPATCH_CASES = [
     # degenerate index-two shape: three beta give the zero word, kernel 4
     ((2, 1, 3, 7), "thm22", {1: 1}),
     ((3, 1, 5, 11), "thm22", {12: 132, 18: 110}),
+    # thm23, after the rule table: the length-9 code over GF(4) (t = 3,
+    # ell = 3, jj = 2) has no period rule; the length-3 code is thm16's
+    ((2, 2, 9, 29127), "thm23", {3: 9, 6: 27, 9: 27}),
+    ((2, 2, 1, 1), "thm16", {3: 3}),
 ]
 
 
@@ -173,11 +153,13 @@ def test_minimum_distance_and_total():
     assert dist.total_nonzero() == spec.r - 1
 
 
-def test_index2_weight_big_code():
-    # the 42-dimensional binary code of length (2^42 - 1) / 49
+def test_index2_class_weights_big_code():
+    # the 42-dimensional binary code of length (2^42 - 1) / 49: a class weight
+    # is weight_from_period over the thm22 periods
     spec = weights.code_params(2, 1, 42, 49)
     params = closed_forms.index2_params(2, 7, 2, 42 // 21)
-    got = sorted({weights.index2_weight(spec, i, params) for i in range(49)})
+    got = sorted({weights.weight_from_period(spec, eta)
+                  for eta in closed_forms.index2_periods(params)})
     assert got == [
         44877307904,
         44877832192,
@@ -185,8 +167,6 @@ def test_index2_weight_big_code():
         44878086144,
         44878356480,
     ]
-    with pytest.raises(NotIndexTwo):
-        weights.index2_weight(weights.code_params(2, 1, 3, 7), 0, params)
 
 
 def test_index2_full_distribution_class_counts():
@@ -217,55 +197,6 @@ def test_index2_wieferich_style_distribution():
         (961152677736445713945528, 55 * n),
         (961152677738914357301436, 5 * n),
     )
-
-
-def test_prime_power_distribution_examples():
-    dist = weights.prime_power_distribution(4, 3, 3, 2)
-    assert dist.counts_by_weight() == {3: 9, 6: 27, 9: 27}
-    assert dist.method == "thm23"
-    dist = weights.prime_power_distribution(4, 3, 1, 1)
-    assert dist.counts_by_weight() == {3: 3}
-    with pytest.raises(OrderNotPrimePower):
-        weights.prime_power_distribution(2, 3, 2, 1)
-
-
-def test_prime_power_distribution_order_without_factoring():
-    # q = 1 (mod t^2) for t = 2^61 - 1: the order of q mod t^2 is 1, found by
-    # powering, where factoring t^2 took longer than 20 s
-    t = 2**61 - 1
-    q = 138 * t * t + 1
-    start = time.perf_counter()
-    dist = weights.prime_power_distribution(q, t, 2, 1)
-    assert time.perf_counter() - start < 1
-    assert dist.spec.m == 1 and dist.entries == ((t, q - 1),)
-    with pytest.raises(NotCoprime, match="^0 shares a factor with 9$"):
-        weights.prime_power_distribution(9, 3, 2, 1)
-
-
-def test_prime_power_distribution_order_matches_mult_order():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19, 25, 27, 31, 37, 43, 49, 64, 81, 125):
-        for t in (3, 5, 7):
-            if q % t == 0:
-                continue
-            for ell in (1, 2, 3):
-                order = numtheory.mult_order(q, t**ell)
-                if t ** numtheory.valuation(order, t) != order:
-                    with pytest.raises(OrderNotPrimePower):
-                        weights.prime_power_distribution(q, t, ell, 1)
-                    continue
-                jj = min(ell, numtheory.valuation(order, t) + numtheory.valuation(q - 1, t))
-                if jj >= 1:
-                    assert weights.prime_power_distribution(q, t, ell, jj).spec.m == order
-
-
-def test_prime_power_distribution_rejects_a_composite_q_unfactored():
-    # a product of two Mersenne primes, which factorize does not split in
-    # any useful time: q must be refused by the prime-power test alone
-    q = (2**89 - 1) * (2**107 - 1)
-    start = time.perf_counter()
-    with pytest.raises(NotPrime, match=f"q = {q} is not a prime power"):
-        weights.prime_power_distribution(q, 3, 1, 1)
-    assert time.perf_counter() - start < 1
 
 
 def test_check_period_properties():
@@ -327,5 +258,7 @@ def test_distribution_properties_random(tower_args, pick):
         assert w % div == 0
         assert count > 0
     assert dist.total_nonzero() == spec.q**spec.m0 - 1
-    if weights.is_constant_weight(spec):
+    # N1 = 1 is the classical constant-weight criterion; a one-dimensional
+    # degenerate code is the multiples of a single word
+    if spec.N1 == 1 or spec.m0 == 1:
         assert len(dist.entries) == 1
